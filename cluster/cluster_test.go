@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -274,9 +275,9 @@ func TestClusterAntiEntropyHealsPartition(t *testing.T) {
 	waitConverged(t, nodes, docID, d.NumEvents(), 15*time.Second)
 }
 
-func TestRedirectAndLegacyProxy(t *testing.T) {
+func TestRedirectToOwner(t *testing.T) {
 	// R=1: exactly one owner per document, so any other node must
-	// redirect capable clients and proxy legacy ones.
+	// redirect every client.
 	nodes := startTestCluster(t, 3, 1, time.Minute, 100*time.Millisecond)
 	const docID = "gamma"
 	const text = "the owner holds this text"
@@ -299,11 +300,11 @@ func TestRedirectAndLegacyProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Redirect-aware client pointed only at a non-owner: first frame
-	// must be a redirect naming the owner first; following it must
-	// yield the document.
-	dialer := &Dialer{Addrs: []string{nonOwner.addr}, Compact: true}
-	c, err := dialer.Connect(docID, nil, false)
+	// Cluster dialer pointed only at a non-owner: first frame must be a
+	// redirect naming the owner first; following it must yield the
+	// document.
+	dialer := &Dialer{Addrs: []string{nonOwner.addr}}
+	c, err := dialer.Connect(docID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestRedirectAndLegacyProxy(t *testing.T) {
 		t.Fatalf("redirect addrs %v, want owner %q first", f.Addrs, ownerAddr)
 	}
 
-	c2, first, err := dialer.ConnectServing(docID, nil, false)
+	c2, first, err := dialer.ConnectServing(docID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,26 +331,37 @@ func TestRedirectAndLegacyProxy(t *testing.T) {
 	got := egwalker.NewDoc("redirected-reader")
 	applyFrames(t, got, c2.Peer, first, text)
 
-	// Legacy client (no redirect capability) pointed at the same
-	// non-owner: the node must proxy it to the owner transparently.
-	raw, err := net.Dial("tcp", nonOwner.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	legacy := egwalker.NewDoc("legacy-reader")
-	cl, err := netsync.NewClientForDoc(legacy, raw, docID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for legacy.Text() != text {
-		if time.Now().After(deadline) {
-			t.Fatalf("proxied legacy client stuck at %q, want %q", legacy.Text(), text)
+	// A plain netsync client pointed at the same non-owner gets the
+	// redirect as a *RedirectError naming the owner first; following
+	// it yields the text.
+	plain := egwalker.NewDoc("plain-reader")
+	redirected := func(addr string) error {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := cl.Receive(); err != nil {
-			t.Fatalf("proxied receive: %v", err)
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		cl, err := netsync.NewClientForDoc(plain, conn, docID)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for plain.Text() != text {
+			if _, err := cl.Receive(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var re *netsync.RedirectError
+	if err := redirected(nonOwner.addr); !errors.As(err, &re) {
+		t.Fatalf("plain client at a non-owner: err = %v, want *RedirectError", err)
+	}
+	if len(re.Addrs) == 0 || re.Addrs[0] != ownerAddr {
+		t.Fatalf("redirect addrs %v, want owner %q first", re.Addrs, ownerAddr)
+	}
+	if err := redirected(re.Addrs[0]); err != nil {
+		t.Fatalf("following the redirect: %v", err)
 	}
 }
 
@@ -394,7 +406,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 	for _, tn := range nodes {
 		addrs = append(addrs, tn.addr)
 	}
-	dialer := &Dialer{Addrs: addrs, Compact: true}
+	dialer := &Dialer{Addrs: addrs}
 
 	primary := byAddr(nodes, nodes[0].node.Ring().Primary(docID))
 
@@ -405,7 +417,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 	connect := func() *Conn {
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			c, _, err := dialer.ConnectServing(docID, writer.Version(), true)
+			c, _, err := dialer.ConnectServing(docID, writer.Summary())
 			if err == nil {
 				if err := c.Peer.SendEvents(writer.Events()); err == nil {
 					return c
@@ -480,7 +492,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 	// A redirected reader completes a fresh session against the
 	// healed cluster.
 	reader := egwalker.NewDoc("reader")
-	rc, first, err := dialer.ConnectServing(docID, nil, false)
+	rc, first, err := dialer.ConnectServing(docID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,19 +11,17 @@ import (
 )
 
 // Dialer is a cluster-aware client connector. It spreads connections
-// across its seed addresses (rotating the starting point per attempt)
-// and advertises the redirect capability, so a node that does not own
-// the requested document answers with a redirect frame instead of
-// proxying. The redirect surfaces through Recv/RecvFrame on the
+// across its seed addresses (rotating the starting point per attempt).
+// A node that does not own the requested document answers with a
+// redirect frame, which surfaces through Recv/RecvFrame on the
 // returned Peer as *netsync.RedirectError; pass its Addrs back to
-// Connect as preferred addresses to land on the owner directly.
+// Connect as preferred addresses to land on the owner directly, or use
+// ConnectServing, which follows redirects itself.
 type Dialer struct {
 	// Addrs are the cluster's seed addresses (any subset of nodes).
 	Addrs []string
 	// Dial opens one connection. Defaults to TCP with a 5s timeout.
 	Dial func(addr string) (net.Conn, error)
-	// Compact advertises the compact-encoding capability in the hello.
-	Compact bool
 	// HandshakeTimeout bounds the hello write in Connect and, in
 	// ConnectServing, each hop's wait for the first frame — so a node
 	// that accepts the dial but never serves (wedged, half-partitioned)
@@ -52,12 +50,13 @@ type Conn struct {
 	Addr string
 }
 
-// Connect dials for docID and writes the doc hello (resuming at v
-// when resume is set), trying preferred addresses first — typically a
-// prior RedirectError's Addrs — then the seed list. It returns as soon
-// as a hello is written; whether the node serves, redirects, or
-// proxies shows up in the subsequent frames.
-func (d *Dialer) Connect(docID string, v egwalker.Version, resume bool, preferred ...string) (*Conn, error) {
+// Connect dials for docID and writes the doc hello carrying sum (the
+// caller's version summary; nil or empty for a cold join), trying
+// preferred addresses first — typically a prior RedirectError's Addrs
+// — then the seed list. It returns as soon as a hello is written;
+// whether the node serves or redirects shows up in the subsequent
+// frames.
+func (d *Dialer) Connect(docID string, sum egwalker.VersionSummary, preferred ...string) (*Conn, error) {
 	dial := d.Dial
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) {
@@ -88,13 +87,7 @@ func (d *Dialer) Connect(docID string, v egwalker.Version, resume bool, preferre
 			c.SetWriteDeadline(time.Now().Add(hs))
 		}
 		pc := netsync.NewPeerConn(c)
-		err = pc.SendHello(netsync.Hello{
-			DocID:    docID,
-			Version:  v,
-			Resume:   resume,
-			Compact:  d.Compact,
-			Redirect: true,
-		})
+		err = pc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: sum})
 		if err != nil {
 			c.Close()
 			lastErr = err
@@ -111,15 +104,15 @@ func (d *Dialer) Connect(docID string, v egwalker.Version, resume bool, preferre
 
 // ConnectServing connects for docID and resolves routing before
 // returning: the serve contract guarantees the first inbound frame
-// immediately (the catch-up snapshot or resume diff, empty or not),
+// immediately (the catch-up snapshot or summary diff, empty or not),
 // so it reads one frame and either follows the redirect it names or
 // hands back the serving connection together with that first frame —
 // which the caller must process before calling RecvFrame again.
-func (d *Dialer) ConnectServing(docID string, v egwalker.Version, resume bool) (*Conn, netsync.Frame, error) {
+func (d *Dialer) ConnectServing(docID string, sum egwalker.VersionSummary) (*Conn, netsync.Frame, error) {
 	var preferred []string
 	var lastErr error
 	for hop := 0; hop < 8; hop++ {
-		c, err := d.Connect(docID, v, resume, preferred...)
+		c, err := d.Connect(docID, sum, preferred...)
 		if err != nil {
 			if lastErr == nil {
 				lastErr = err

@@ -6,8 +6,7 @@ import (
 )
 
 // healthTable tracks peer reachability as observed by this node's own
-// dials: replica-link reconnect attempts and proxy dials both feed
-// it. A peer is "down" from its first failed dial and "failed" once
+// dials: replica-link reconnect attempts feed it. A peer is "down" from its first failed dial and "failed" once
 // it has stayed down past the grace period — only then does routing
 // fail a document over to the next replica, so a blip (one dropped
 // connection, a restart inside the grace window) never moves

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -31,7 +30,7 @@ type Options struct {
 	// GracePeriod is how long a peer must stay unreachable before its
 	// documents fail over to the next replica. Defaults to 5s.
 	GracePeriod time.Duration
-	// AntiEntropyEvery is the period of the version exchange each
+	// AntiEntropyEvery is the period of the summary exchange each
 	// replica link runs to heal missed pushes. Defaults to 5s.
 	AntiEntropyEvery time.Duration
 	// HandshakeTimeout bounds the hello read on accepted connections
@@ -39,8 +38,8 @@ type Options struct {
 	// silent peer cannot pin a goroutine forever. Defaults to 10s;
 	// negative disables.
 	HandshakeTimeout time.Duration
-	// Dial opens a connection to a peer (or proxy target). Defaults to
-	// TCP with a 5s timeout. Tests inject partitions here.
+	// Dial opens a connection to a peer. Defaults to TCP with a 5s
+	// timeout. Tests inject partitions here.
 	Dial func(addr string) (net.Conn, error)
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -161,7 +160,7 @@ func (n *Node) logf(format string, args ...any) {
 // route picks the serving node for docID: the first replica that is
 // not known-failed (Self always counts as live). The returned list is
 // the full replica set in preference order — live candidates first —
-// for redirect frames and proxy fail-over.
+// for redirect frames.
 func (n *Node) route(docID string) (owner string, candidates []string) {
 	reps := n.ring.Replicas(docID)
 	candidates = make([]string, 0, len(reps))
@@ -179,9 +178,9 @@ func (n *Node) route(docID string) (owner string, candidates []string) {
 
 // ServeConn reads the connection's doc hello and routes it: serve
 // locally when this node is the document's serving replica (or the
-// connection is a peer's replica link), answer with a redirect frame
-// when the client advertises the capability, and proxy byte-for-byte
-// otherwise. Returns when the connection is done.
+// connection is a peer's replica link), and answer with a redirect
+// frame naming the replica set otherwise. Returns when the connection
+// is done.
 func (n *Node) ServeConn(conn net.Conn) error {
 	// A peer that connects and never sends a hello must not pin this
 	// goroutine forever; the deadline is cleared once routing is done
@@ -215,12 +214,8 @@ func (n *Node) ServeConn(conn net.Conn) error {
 	if owner == n.opts.Self {
 		return n.srv.ServeHello(conn, h)
 	}
-	if h.Redirect {
-		pc := netsync.NewPeerConn(conn)
-		n.logf("cluster: redirecting %q for doc %q to %v", remoteAddr(conn), h.DocID, candidates)
-		return pc.SendRedirect(candidates)
-	}
-	return n.proxy(conn, h, candidates)
+	n.logf("cluster: redirecting %q for doc %q to %v", remoteAddr(conn), h.DocID, candidates)
+	return netsync.NewPeerConn(conn).SendRedirect(candidates)
 }
 
 func remoteAddr(conn net.Conn) string {
@@ -228,58 +223,6 @@ func remoteAddr(conn net.Conn) string {
 		return ra.String()
 	}
 	return "?"
-}
-
-// proxy serves a legacy (redirect-unaware) client for a document this
-// node does not own: replay the client's hello verbatim to the owning
-// node and pipe bytes both ways. Tries each candidate in order,
-// feeding dial outcomes back into the health table; if every remote
-// candidate is unreachable and this node holds a replica, it serves
-// locally rather than failing the client.
-func (n *Node) proxy(conn net.Conn, h netsync.Hello, candidates []string) error {
-	var lastErr error
-	for _, addr := range candidates {
-		if addr == n.opts.Self {
-			return n.srv.ServeHello(conn, h)
-		}
-		remote, err := n.opts.Dial(addr)
-		if err != nil {
-			n.health.markDown(addr)
-			lastErr = err
-			continue
-		}
-		n.health.markUp(addr)
-		if err := h.Forward(remote); err != nil {
-			remote.Close()
-			lastErr = err
-			continue
-		}
-		n.logf("cluster: proxying %q for doc %q to %q", remoteAddr(conn), h.DocID, addr)
-		return pipe(conn, remote)
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: no candidate for doc %q", h.DocID)
-	}
-	return lastErr
-}
-
-// pipe copies both directions until either side ends, then tears both
-// down so the other copy unblocks.
-func pipe(a, b net.Conn) error {
-	errc := make(chan error, 2)
-	go func() {
-		_, err := io.Copy(a, b)
-		errc <- err
-	}()
-	go func() {
-		_, err := io.Copy(b, a)
-		errc <- err
-	}()
-	err := <-errc
-	a.Close()
-	b.Close()
-	<-errc
-	return err
 }
 
 // Close stops replication links and closes the store. Safe to call

@@ -21,11 +21,12 @@ import (
 // OnIngest tap hands every batch this node accepted from a client to
 // the links of the document's other replicas, so replicas see new data
 // one hop after the origin does. The safety net is anti-entropy: each
-// link periodically sends its version on the live stream; the remote
-// answers with its own version plus the events the sender lacks, and
-// the sender pushes back the remote's gap — netsync's resume exchange,
-// embedded in a persistent stream, so a rejoining or lagging replica
-// converges from its journal without a full retransfer.
+// link periodically sends its version summary on the live stream; the
+// remote answers with its own summary plus the events the sender
+// lacks, and the sender pushes back the remote's gap — netsync's
+// summary exchange, embedded in a persistent stream, so a rejoining or
+// lagging replica converges from its journal without a full
+// retransfer.
 //
 // The tap never blocks (it runs under the document's fan-out lock): a
 // full outbox drops the push and flags the link, and the next exchange
@@ -218,16 +219,6 @@ func (l *link) summary() (egwalker.VersionSummary, error) {
 	return s, err
 }
 
-func (l *link) diff(theirs egwalker.Version) ([]egwalker.Event, error) {
-	var events []egwalker.Event
-	err := l.n.srv.With(l.docID, func(ds *store.DocStore) error {
-		var err error
-		events, err = ds.EventsSinceKnown(theirs)
-		return err
-	})
-	return events, err
-}
-
 func (l *link) diffSummary(theirs egwalker.VersionSummary) ([]egwalker.Event, error) {
 	var events []egwalker.Event
 	err := l.n.srv.With(l.docID, func(ds *store.DocStore) error {
@@ -359,7 +350,7 @@ func (l *link) session(conn net.Conn, done <-chan struct{}) error {
 			if b.raw != nil {
 				err = pc.SendRaw(b.raw)
 			} else {
-				err = pc.SendEventsCompact(b.events)
+				err = pc.SendEvents(b.events)
 			}
 			if err != nil {
 				return fail(err)
@@ -376,11 +367,9 @@ func (l *link) session(conn net.Conn, done <-chan struct{}) error {
 	}
 }
 
-// readLoop ingests what the remote sends: summary or version frames
-// (its side of an exchange — answer by pushing its gap; the summary
-// form is exact, the version form is the legacy known-subset superset)
-// and event batches (our gap, journaled as replica data so it is
-// never re-forwarded).
+// readLoop ingests what the remote sends: summary frames (its side of
+// an exchange — answer by pushing its exact gap) and event batches
+// (our gap, journaled as replica data so it is never re-forwarded).
 func (l *link) readLoop(pc *netsync.PeerConn, conn net.Conn, armed bool) error {
 	for {
 		f, err := pc.RecvFrame()
@@ -403,17 +392,7 @@ func (l *link) readLoop(pc *netsync.PeerConn, conn net.Conn, armed bool) error {
 				return err
 			}
 			if len(diff) > 0 {
-				if err := pc.SendEventsCompact(diff); err != nil {
-					return err
-				}
-			}
-		case netsync.FrameVersion:
-			diff, err := l.diff(f.Version)
-			if err != nil {
-				return err
-			}
-			if len(diff) > 0 {
-				if err := pc.SendEventsCompact(diff); err != nil {
+				if err := pc.SendEvents(diff); err != nil {
 					return err
 				}
 			}

@@ -11,12 +11,11 @@
 //
 // Data flows origin-push: whichever replica accepts a client batch
 // pushes it over persistent replica links to the rest of the
-// document's replica set, and a periodic anti-entropy version
+// document's replica set, and a periodic anti-entropy summary
 // exchange (the netsync resume machinery) heals anything the pushes
 // missed — a rejoining replica converges from its own journal,
 // receiving only the events it lacks. Clients that land on a
-// non-owner are redirected (capability-negotiated) or transparently
-// proxied. When a primary stays unreachable past a grace period, the
+// non-owner are redirected. When a primary stays unreachable past a grace period, the
 // next live replica on the ring serves its documents.
 package cluster
 

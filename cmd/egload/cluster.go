@@ -3,10 +3,10 @@ package main
 import (
 	"flag"
 	"net"
-	"time"
 
 	"egwalker"
 	"egwalker/cluster"
+	"egwalker/internal/loadgen"
 	"egwalker/netsync"
 )
 
@@ -18,31 +18,17 @@ var clusterFlag = flag.String("cluster", "", "comma-separated egserve cluster se
 var clusterDialer *cluster.Dialer
 
 // connectDoc opens a serving connection for docID. Single-node mode
-// dials -addr and sends the doc hello; the catch-up then arrives as
+// is loadgen's TCP dialer against -addr; the catch-up then arrives as
 // the connection's first inbound frame (haveFirst false). Cluster mode
 // routes via the dialer, which must consume the first frame to tell a
 // serve from a redirect — the catch-up is handed back in first
 // (haveFirst true, possibly zero events), and the caller must process
 // it before reading the connection.
-func connectDoc(docID string, v egwalker.Version, resume bool) (conn net.Conn, pc *netsync.PeerConn, first []egwalker.Event, haveFirst bool, err error) {
+func connectDoc(docID string, sum egwalker.VersionSummary) (conn net.Conn, pc *netsync.PeerConn, first []egwalker.Event, haveFirst bool, err error) {
 	if clusterDialer == nil {
-		conn, err = net.DialTimeout("tcp", *addr, 5*time.Second)
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		pc = netsync.NewPeerConn(conn)
-		if resume {
-			err = pc.SendDocHelloResume(docID, v)
-		} else {
-			err = pc.SendDocHello(docID)
-		}
-		if err != nil {
-			conn.Close()
-			return nil, nil, nil, false, err
-		}
-		return conn, pc, nil, false, nil
+		return loadgen.TCPDialer(*addr)(docID, sum)
 	}
-	c, f, err := clusterDialer.ConnectServing(docID, v, resume)
+	c, f, err := clusterDialer.ConnectServing(docID, sum)
 	if err != nil {
 		return nil, nil, nil, false, err
 	}

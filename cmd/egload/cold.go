@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"egwalker"
 	"egwalker/internal/loadgen"
 	"egwalker/internal/metrics"
-	"egwalker/netsync"
 )
 
 var (
@@ -128,47 +126,51 @@ func runColdDocs() (loadgen.Result, error) {
 }
 
 // populateCold seeds one document with the shared history over a
-// short-lived compact connection, then hangs up — the write-mostly
-// pattern: after this, nothing touches the document until a cold join.
+// short-lived connection, then hangs up — the write-mostly pattern:
+// after this, nothing touches the document until a cold join.
 func populateCold(docID string, events []egwalker.Event) error {
-	conn, err := net.DialTimeout("tcp", *addr, 5*time.Second)
+	conn, pc, _, haveFirst, err := connectDoc(docID, nil)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	pc := netsync.NewPeerConn(conn)
-	if err := pc.SendDocHelloV2(docID, nil, false, true); err != nil {
-		return err
+	// The first inbound frame is the (empty) catch-up; drain it (unless
+	// the cluster dialer already did) so the server's fan-out path
+	// never sees this connection as slow.
+	if !haveFirst {
+		if _, _, _, err := pc.Recv(); err != nil {
+			return err
+		}
 	}
-	// The first inbound frame is the (empty) catch-up; drain it so the
-	// server's fan-out path never sees this connection as slow.
-	if _, _, _, err := pc.Recv(); err != nil {
-		return err
-	}
-	if err := pc.SendEventsCompact(events); err != nil {
+	if err := pc.SendEvents(events); err != nil {
 		return err
 	}
 	return pc.SendDone()
 }
 
-// coldJoin joins one document cold with a compact hello and reads until
-// the full history arrived (the population gives every document the
-// same event count, so completion is detectable client-side).
+// coldJoin joins one document cold and reads until the full history
+// arrived (the population gives every document the same event count,
+// so completion is detectable client-side).
 func coldJoin(docID string, wantEvents int, agg *coldAgg) error {
 	start := time.Now()
-	conn, err := net.DialTimeout("tcp", *addr, 5*time.Second)
+	conn, pc, evs, haveFirst, err := connectDoc(docID, nil)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	pc := netsync.NewPeerConn(conn)
-	if err := pc.SendDocHelloV2(docID, nil, false, true); err != nil {
-		return err
-	}
 	doc := egwalker.NewDoc("cold-join")
 	first := true
+	if haveFirst {
+		// The cluster dialer read the first frame to tell a serve from
+		// a redirect.
+		agg.firstFrameNs.Observe(time.Since(start).Nanoseconds())
+		first = false
+		if _, err := doc.Apply(evs); err != nil {
+			return err
+		}
+	}
 	for doc.NumEvents() < wantEvents {
 		evs, _, done, err := pc.Recv()
 		if err != nil {

@@ -15,11 +15,10 @@
 //	       [-seed 1] [-doc-prefix NAME] [-cluster host1:4222,host2:4222,...]
 //
 // Against an egserve cluster, -cluster lists seed addresses: initial
-// dials rotate across them and every client advertises the redirect
-// capability, following redirect frames to each document's serving
-// replica (fail-over included — a redirect landing on a dead node is
-// retried against the remaining candidates). The colddocs mix keeps
-// dialing the first seed directly; non-owners proxy those joins.
+// dials rotate across them and every client follows redirect frames
+// to each document's serving replica (fail-over included — a redirect
+// landing on a dead node is retried against the remaining
+// candidates).
 //
 // Workload mixes (each runs for -duration against its own fresh set of
 // documents):
@@ -34,7 +33,7 @@
 //     the default mix.
 //   - resume: steady single-writer traffic plus one churn client per
 //     document that repeatedly disconnects and reconnects presenting
-//     its version (netsync resume hello), measuring catch-up latency
+//     its version summary (netsync resume hello), measuring catch-up latency
 //     and how many events each catch-up shipped versus the full
 //     history a snapshot join would have sent.
 //   - hotdoc: writers are assigned to documents by a Zipf draw, so a
@@ -144,10 +143,7 @@ func main() {
 			seeds[i] = strings.TrimSpace(seeds[i])
 		}
 		clusterDialer = &cluster.Dialer{Addrs: seeds}
-		// Remaining direct-dial paths (colddocs population and joins)
-		// target the first seed; a non-owner proxies them to the
-		// serving replica.
-		*addr = seeds[0]
+		*addr = seeds[0] // reported as the run's address
 	}
 	var schedule *sched.Schedule
 	if *schedFlag != "" {

@@ -1,9 +1,9 @@
 // Command egserve hosts durable collaborative documents over TCP: the
 // paper's relay server (§2.1) with the store subsystem underneath.
 // One process serves any number of documents from one data directory;
-// clients name the document they want with a doc-ID hello frame
-// (netsync.WriteDocHello / netsync.NewClientForDoc) and then speak the
-// ordinary relay protocol. Every batch a client uploads is journaled
+// clients name the document they want with a doc hello carrying their
+// version summary (netsync.NewClientForDoc), receive exactly the events
+// they are missing, and then speak the ordinary relay protocol. Every batch a client uploads is journaled
 // to the document's write-ahead log before fan-out; fsyncs are batched
 // on -flush, snapshots and compaction run in the background, and a
 // restart recovers every document from snapshot + WAL tail.
@@ -31,8 +31,8 @@
 // address within it. Each document gets -replicas owners on the ring;
 // the serving replica journals client uploads and pushes them to the
 // others over persistent replica links, with periodic anti-entropy
-// healing anything a link dropped. Clients landing on a non-owner are
-// redirected (capability-negotiated) or transparently proxied.
+// healing anything a link dropped. A client landing on a non-owner is
+// answered with a redirect frame naming the document's replica set.
 //
 // Observability: -metrics-addr serves the store.Server metrics
 // snapshot (apply/fsync latency histograms with p50/p95/p99,

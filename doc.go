@@ -66,7 +66,7 @@
 // maps the packages involved. The same frame serves event batches
 // everywhere: MarshalEventsCompact/UnmarshalEventsAuto encode and
 // sniff-decode it, store snapshots and large WAL group commits use it
-// on disk, and netsync negotiates it per connection. Legacy files
+// on disk, and every netsync events frame carries it. Legacy files
 // (SaveOptions.Legacy, or anything written before the columnar
 // format) still load via magic sniffing.
 //
@@ -90,12 +90,14 @@
 //
 // # Observability and load
 //
-// A reconnecting client resumes incrementally: it presents its current
-// Version in the doc hello (netsync.NewResumingClientForDoc) and
-// receives only the events after it — EventsSince catch-up instead of
-// the full history — so reconnecting after a blip, or after being
-// severed for falling behind, costs the missing tail rather than the
-// whole document. store.Server instruments its live path with
+// A reconnecting client resumes incrementally: the doc hello
+// netsync.NewClientForDoc sends carries the replica's version summary
+// (Doc.Summary), and the host answers with exactly the events the
+// replica lacks (EventsSinceSummary) instead of the full history — so
+// reconnecting after a blip, or after being severed for falling
+// behind, costs the missing tail rather than the whole document. A
+// cluster node that does not serve the document answers with a
+// redirect instead. store.Server instruments its live path with
 // lock-free metrics (internal/metrics): apply and fsync latency
 // histograms, group-commit batch sizes, outbox depths, and
 // sever/eviction/resume counters, served as JSON by cmd/egserve's

@@ -244,6 +244,9 @@ func Decode(data []byte) (*Decoded, error) {
 	}
 	flags := head[4]
 	n := int(r.uvarint())
+	if n < 0 {
+		return nil, fmt.Errorf("encoding: bad event count %d", n)
+	}
 
 	readCol := func() []byte { return r.bytes(int(r.uvarint())) }
 	opsCol := &reader{buf: readCol()}
@@ -267,8 +270,10 @@ func Decode(data []byte) (*Decoded, error) {
 	}
 	pruned := flags&flagPruned != 0
 
-	// Decode ops into a flat per-event list.
-	ops := make([]oplog.Op, 0, n)
+	// Decode ops into a flat per-event list. n comes from the input, so
+	// it sizes the list only up to what the input could describe
+	// without run-length expansion; longer runs grow it as they decode.
+	ops := make([]oplog.Op, 0, min(n, len(data)))
 	content := &reader{buf: contentCol}
 	for len(ops) < n {
 		tag := opsCol.uvarint()
@@ -301,10 +306,10 @@ func Decode(data []byte) (*Decoded, error) {
 
 	// Decode parents into a map keyed by span start.
 	parentsAt := make(map[causal.LV][]causal.LV)
-	nParents := int(parentsCol.uvarint())
+	nParents := parentsCol.count()
 	for i := 0; i < nParents; i++ {
 		at := causal.LV(parentsCol.uvarint())
-		k := int(parentsCol.uvarint())
+		k := parentsCol.count()
 		ps := make([]causal.LV, k)
 		for j := range ps {
 			ps[j] = causal.LV(parentsCol.uvarint())
@@ -316,13 +321,13 @@ func Decode(data []byte) (*Decoded, error) {
 	}
 
 	// Decode agents.
-	nNames := int(agentsCol.uvarint())
+	nNames := agentsCol.count()
 	names := make([]string, nNames)
 	for i := range names {
 		ln := int(agentsCol.uvarint())
 		names[i] = string(agentsCol.bytes(ln))
 	}
-	nRuns := int(agentsCol.uvarint())
+	nRuns := agentsCol.count()
 	type agentRun struct {
 		agent, seq, n int
 	}

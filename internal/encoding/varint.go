@@ -83,7 +83,7 @@ func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) {
+	if n < 0 || n > r.remaining() {
 		r.failTruncated(fmt.Sprintf("byte run (%d wanted, %d left)", n, len(r.buf)-r.off))
 		return nil
 	}
@@ -103,4 +103,17 @@ func writeColumn(w io.Writer, col []byte) error {
 	}
 	_, err := w.Write(col)
 	return err
+}
+
+// count reads an element count for a list whose every element takes at
+// least one more byte of r, failing — and returning 0 — when the count
+// exceeds the bytes left, so a hostile count cannot size an
+// allocation.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(r.remaining()) {
+		r.fail("encoding: count %d exceeds the %d bytes left at offset %d", n, r.remaining(), r.off)
+		return 0
+	}
+	return int(n)
 }

@@ -9,7 +9,7 @@ import (
 	"egwalker"
 )
 
-// buildBatchOfSize constructs an event batch whose Marshal encoding is
+// buildBatchOfSize constructs an event batch whose compact encoding is
 // exactly size bytes: events with distinct ~768-byte agent names get
 // the size near the target cheaply, then the last agent's name is
 // padded byte for byte. Name lengths stay in [128, 4096), so the
@@ -27,7 +27,7 @@ func buildBatchOfSize(t *testing.T, size int) []egwalker.Event {
 		}
 	}
 	measure := func(evs []egwalker.Event) int {
-		b, err := Marshal(evs)
+		b, err := egwalker.MarshalEventsCompact(evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func buildBatchOfSize(t *testing.T, size int) []egwalker.Event {
 
 func roundTripChunks(t *testing.T, events []egwalker.Event) [][]byte {
 	t.Helper()
-	chunks, err := MarshalChunks(events)
+	chunks, err := MarshalChunksCompact(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,18 +139,61 @@ func TestMarshalChunksOversizedSingleEvent(t *testing.T) {
 		Insert:  true,
 		Content: 'a',
 	}
-	if _, err := marshalChunksLimit([]egwalker.Event{ev}, 16); err == nil {
+	if _, err := marshalChunks([]egwalker.Event{ev}, 16); err == nil {
 		t.Fatal("oversized single event accepted")
 	}
 	// A batch of several such events fails the same way once split down
 	// to single events — cleanly, not looping.
 	batch := []egwalker.Event{ev, {ID: egwalker.EventID{Agent: ev.ID.Agent, Seq: 2}, Insert: true, Pos: 1, Content: 'b'}}
-	if _, err := marshalChunksLimit(batch, 16); err == nil {
+	if _, err := marshalChunks(batch, 16); err == nil {
 		t.Fatal("batch of oversized events accepted")
 	}
 	// Sanity: the same batch under a workable limit splits fine.
-	chunks, err := marshalChunksLimit(batch, 1024)
+	chunks, err := marshalChunks(batch, 1024)
 	if err != nil || len(chunks) == 0 {
 		t.Fatalf("workable limit failed: %v", err)
+	}
+}
+
+// TestChunkedEventsSend: batches beyond the per-frame chunk size split
+// into multiple frames and reassemble losslessly on the other side.
+func TestChunkedEventsSend(t *testing.T) {
+	src := egwalker.NewDoc("bulk")
+	text := strings.Repeat("0123456789abcdef", (egwalker.MaxEventsPerBlock+100)/16+1)
+	if err := src.Insert(0, text); err != nil {
+		t.Fatal(err)
+	}
+	events := src.Events()
+	if len(events) <= egwalker.MaxEventsPerBlock {
+		t.Fatalf("test batch too small: %d events", len(events))
+	}
+	var buf bytes.Buffer
+	if err := writeEventsChunked(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	dst := egwalker.NewDoc("recv")
+	frames := 0
+	for buf.Len() > 0 {
+		typ, payload, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != msgEvents {
+			t.Fatalf("frame %d: type %#x", frames, typ)
+		}
+		evs, err := Unmarshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.Apply(evs); err != nil {
+			t.Fatal(err)
+		}
+		frames++
+	}
+	if frames < 2 {
+		t.Fatalf("large batch went out in %d frame(s), want several", frames)
+	}
+	if dst.Text() != src.Text() {
+		t.Fatal("chunked transfer corrupted the document")
 	}
 }

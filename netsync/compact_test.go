@@ -1,11 +1,10 @@
 package netsync
 
 import (
-	"bufio"
 	"bytes"
-	"io"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 
 	"egwalker"
@@ -13,38 +12,37 @@ import (
 )
 
 // TestDocHelloV2RoundTrip: every flag combination of the v2 hello
-// reads back exactly, and legacy hellos report compact=false.
+// reads back exactly, and every retired generation or bit — the v1
+// hello, a v2 hello without the compact bit, the frontier-resume and
+// redirect bits — is refused.
 func TestDocHelloV2RoundTrip(t *testing.T) {
-	v := egwalker.Version{{Agent: "a", Seq: 41}, {Agent: "b", Seq: 7}}
-	cases := []struct {
-		name            string
-		write           func(w io.Writer) error
-		wantV           egwalker.Version
-		resume, compact bool
+	sum := egwalker.VersionSummary{"a": {{Start: 0, End: 42}}, "b": {{Start: 0, End: 8}}}
+	for _, tc := range []struct {
+		name string
+		h    Hello
 	}{
-		{"v2 plain", func(w io.Writer) error { return WriteDocHelloV2(w, "d", nil, false, false) }, nil, false, false},
-		{"v2 compact", func(w io.Writer) error { return WriteDocHelloV2(w, "d", nil, false, true) }, nil, false, true},
-		{"v2 resume", func(w io.Writer) error { return WriteDocHelloV2(w, "d", v, true, false) }, v, true, false},
-		{"v2 resume compact", func(w io.Writer) error { return WriteDocHelloV2(w, "d", v, true, true) }, v, true, true},
-		{"legacy plain", func(w io.Writer) error { return WriteDocHello(w, "d") }, nil, false, false},
-		{"legacy resume", func(w io.Writer) error { return WriteDocHelloResume(w, "d", v) }, v, true, false},
-	}
-	for _, tc := range cases {
+		{"v2 compact", Hello{DocID: "d", Compact: true}},
+		{"v2 compact summary", Hello{DocID: "d", Compact: true, Summary: sum}},
+		{"v2 compact replica", Hello{DocID: "d", Compact: true, Replica: true, Summary: sum}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := tc.write(&buf); err != nil {
+			if err := WriteHello(&buf, tc.h); err != nil {
 				t.Fatal(err)
 			}
-			docID, gotV, resume, compact, err := ReadDocHelloAny(&buf)
+			got, err := ReadHello(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if docID != "d" || resume != tc.resume || compact != tc.compact {
-				t.Fatalf("got (%q, resume=%v, compact=%v), want (d, %v, %v)",
-					docID, resume, compact, tc.resume, tc.compact)
+			if !helloEqual(got, tc.h) {
+				t.Fatalf("got %+v, want %+v", got, tc.h)
 			}
-			if tc.resume && !reflect.DeepEqual(gotV, tc.wantV) {
-				t.Fatalf("version: got %v, want %v", gotV, tc.wantV)
+		})
+	}
+	for _, r := range retiredHellos(t) {
+		t.Run(r.name, func(t *testing.T) {
+			if h, err := ReadHello(bytes.NewReader(r.frame)); err == nil {
+				t.Fatalf("retired hello accepted as %+v", h)
 			}
 		})
 	}
@@ -54,28 +52,23 @@ func TestDocHelloV2RoundTrip(t *testing.T) {
 // reader does not know must fail loudly, not be half-understood.
 func TestDocHelloV2UnknownFlagsRejected(t *testing.T) {
 	var payload []byte
-	payload = putUvarint(payload, 0x40)
+	payload = putUvarint(payload, 0x40|helloCompact)
 	payload = putUvarint(payload, 1)
 	payload = append(payload, 'd')
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgDocHello2, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, _, err := ReadDocHelloAny(&buf); err == nil {
+	if _, err := ReadHello(bytes.NewReader(rawFrame(t, msgDocHello, payload))); err == nil {
 		t.Fatal("unknown hello flags accepted")
 	}
 }
 
-// TestCompactChunkedFramesAreColumnar: with compact on, every events
-// frame carries the columnar magic and still decodes via the sniffing
-// Unmarshal.
+// TestCompactChunkedFramesAreColumnar: every events frame carries the
+// columnar magic and still decodes via the sniffing Unmarshal.
 func TestCompactChunkedFramesAreColumnar(t *testing.T) {
 	src := egwalker.NewDoc("a")
 	if err := src.Insert(0, "compact framing test"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := writeEventsChunked(&buf, src.Events(), true); err != nil {
+	if err := writeEventsChunked(&buf, src.Events()); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(&buf)
@@ -94,20 +87,33 @@ func TestCompactChunkedFramesAreColumnar(t *testing.T) {
 	}
 }
 
-// TestSyncCompactConverges: two current-generation peers negotiate the
-// compact encoding through the capability byte and still converge.
+// TestSyncCompactConverges: two peers that share part of their
+// history exchange version summaries, send each other only columnar
+// events frames holding exactly what the other lacks, and converge.
 func TestSyncCompactConverges(t *testing.T) {
-	a, b := egwalker.NewDoc("a"), egwalker.NewDoc("b")
-	if err := a.Insert(0, "left side"); err != nil {
+	a := egwalker.NewDoc("a")
+	if err := a.Insert(0, "shared history. "); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Insert(0, "right side"); err != nil {
+	b := egwalker.NewDoc("b")
+	if _, err := b.Apply(a.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Insert(a.Len(), "left side"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Insert(0, "right side "); err != nil {
+		t.Fatal(err)
+	}
+	aLacks, err := b.EventsSinceSummary(a.Summary())
+	if err != nil {
 		t.Fatal(err)
 	}
 	ca, cb := net.Pipe()
+	tap := &frameTap{Conn: cb}
 	errs := make(chan error, 2)
 	go func() { errs <- Sync(a, ca) }()
-	go func() { errs <- Sync(b, cb) }()
+	go func() { errs <- Sync(b, tap) }()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
@@ -116,72 +122,66 @@ func TestSyncCompactConverges(t *testing.T) {
 	if a.Text() != b.Text() || a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("no convergence: %q vs %q", a.Text(), b.Text())
 	}
+	// What b wrote: its summary, the events a lacks, DONE.
+	frames := tap.frames(t)
+	if len(frames) < 3 || frames[0].typ != msgSummary || frames[len(frames)-1].typ != msgDone {
+		t.Fatalf("b sent frame types %v, want summary, events..., done", frameTypes(frames))
+	}
+	sent := 0
+	for _, f := range frames[1 : len(frames)-1] {
+		if f.typ != msgEvents || !colenc.Sniff(f.payload) {
+			t.Fatalf("b sent a non-columnar frame %#x", f.typ)
+		}
+		evs, err := Unmarshal(f.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += len(evs)
+	}
+	if sent != len(aLacks) {
+		t.Fatalf("b sent %d events, a lacked %d", sent, len(aLacks))
+	}
 }
 
-// TestSyncLegacyPeerGetsLegacyFrames: a peer whose hello carries no
-// capability byte (a pre-colenc build) must receive legacy-encoded
-// event frames — never columnar ones it could not parse.
-func TestSyncLegacyPeerGetsLegacyFrames(t *testing.T) {
-	doc := egwalker.NewDoc("modern")
-	if err := doc.Insert(0, "history the old peer is missing"); err != nil {
-		t.Fatal(err)
-	}
-	modern, old := net.Pipe()
-	syncErr := make(chan error, 1)
-	go func() { syncErr <- Sync(doc, modern) }()
+type tappedFrame struct {
+	typ     byte
+	payload []byte
+}
 
-	// Drive the old side by hand: hello without the capability byte,
-	// then an empty batch and DONE. Writes go through a buffer like the
-	// real protocol's do (a raw zero-length pipe write would block).
-	writeDone := make(chan error, 1)
-	go func() {
-		bw := bufio.NewWriter(old)
-		err := writeFrame(bw, msgHello, marshalVersion(nil))
-		if err == nil {
-			var empty []byte
-			empty, err = egwalker.MarshalEvents(nil)
-			if err == nil {
-				err = writeFrame(bw, msgEvents, empty)
-			}
-		}
-		if err == nil {
-			err = writeFrame(bw, msgDone, nil)
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		writeDone <- err
-	}()
+// frameTap records the bytes written through a connection.
+type frameTap struct {
+	net.Conn
+	mu  sync.Mutex
+	out bytes.Buffer
+}
 
-	sawEvents := false
-	for {
-		typ, payload, err := readFrame(old)
+func (c *frameTap) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *frameTap) frames(t *testing.T) []tappedFrame {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := bytes.NewReader(c.out.Bytes())
+	var out []tappedFrame
+	for r.Len() > 0 {
+		typ, payload, err := readFrame(r)
 		if err != nil {
-			t.Fatalf("old peer read: %v", err)
+			t.Fatal(err)
 		}
-		if typ == msgHello {
-			continue
-		}
-		if typ == msgDone {
-			break
-		}
-		if typ != msgEvents {
-			t.Fatalf("unexpected frame %#x", typ)
-		}
-		if colenc.Sniff(payload) {
-			t.Fatal("legacy peer received a columnar frame")
-		}
-		if len(payload) > 2 { // non-empty batch
-			sawEvents = true
-		}
+		out = append(out, tappedFrame{typ, payload})
 	}
-	if err := <-writeDone; err != nil {
-		t.Fatal(err)
+	return out
+}
+
+func frameTypes(frames []tappedFrame) []byte {
+	var out []byte
+	for _, f := range frames {
+		out = append(out, f.typ)
 	}
-	if err := <-syncErr; err != nil {
-		t.Fatal(err)
-	}
-	if !sawEvents {
-		t.Fatal("modern side sent no events to the legacy peer")
-	}
+	return out
 }

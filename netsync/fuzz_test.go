@@ -18,11 +18,16 @@ func FuzzUnmarshal(f *testing.F) {
 	if err := d.Delete(2, 4); err != nil {
 		f.Fatal(err)
 	}
-	good, err := Marshal(d.Events())
+	good, err := egwalker.MarshalEventsCompact(d.Events())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good)
+	legacy, err := egwalker.MarshalEvents(d.Events())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 'a', 1})
 
@@ -38,9 +43,9 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzReadHello: the doc hello is the unauthenticated first frame of
 // every server connection, so ReadHello must never panic on hostile
-// bytes, and any hello it accepts must survive a Forward → ReadHello
-// round trip with the same parse (the cluster proxy path replays
-// accepted hellos verbatim to the owning node).
+// bytes, must refuse every retired hello generation and bit, and any
+// hello it accepts must survive a WriteHello → ReadHello round trip
+// with an equal parse.
 func FuzzReadHello(f *testing.F) {
 	seed := func(h Hello) []byte {
 		var buf bytes.Buffer
@@ -49,19 +54,16 @@ func FuzzReadHello(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	ver := egwalker.Version{{Agent: "alice", Seq: 41}, {Agent: "bob", Seq: 3}}
 	sum := egwalker.VersionSummary{
 		"alice": {{Start: 0, End: 42}},
 		"bob":   {{Start: 0, End: 2}, {Start: 3, End: 4}},
 	}
-	f.Add(seed(Hello{DocID: "plain"}))
-	f.Add(seed(Hello{DocID: "notes/alpha", Resume: true, Version: ver}))
-	f.Add(seed(Hello{DocID: "v2", Compact: true, Redirect: true, Resume: true, Version: ver}))
-	f.Add(seed(Hello{DocID: "replica", Replica: true, Resume: true}))
+	f.Add(seed(Hello{DocID: "plain", Compact: true}))
+	f.Add(seed(Hello{DocID: "cold", Compact: true, Summary: egwalker.VersionSummary{}}))
 	f.Add(seed(Hello{DocID: "sum", Compact: true, Summary: sum}))
-	f.Add(seed(Hello{DocID: "sum/replica", Replica: true, Summary: sum}))
-	// Truncated v2 hello.
-	full := seed(Hello{DocID: "cut", Compact: true})
+	f.Add(seed(Hello{DocID: "sum/replica", Compact: true, Replica: true, Summary: sum}))
+	// Truncated hello.
+	full := seed(Hello{DocID: "cut", Compact: true, Summary: sum})
 	f.Add(full[:len(full)-2])
 	// Unknown frame type, unknown flag bits, hostile doc-ID length, and
 	// a length header past the frame cap.
@@ -69,38 +71,37 @@ func FuzzReadHello(f *testing.F) {
 	badFlags := binary.AppendUvarint(nil, uint64(knownHelloFlags)<<1)
 	badFlags = binary.AppendUvarint(badFlags, 1)
 	badFlags = append(badFlags, 'd')
-	var frame bytes.Buffer
-	if err := writeFrame(&frame, msgDocHello2, badFlags); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), frame.Bytes()...))
-	frame.Reset()
-	if err := writeFrame(&frame, msgDocHello, binary.AppendUvarint(nil, 1<<40)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), frame.Bytes()...))
+	f.Add(rawFrame(f, msgDocHello, badFlags))
+	f.Add(rawFrame(f, msgDocHello, binary.AppendUvarint([]byte{helloCompact}, 1<<40)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, msgDocHello})
+	retired := retiredHellos(f)
+	for _, r := range retired {
+		f.Add(r.frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ReadHello(bytes.NewReader(data))
+		for _, r := range retired {
+			if err == nil && bytes.Equal(data, r.frame) {
+				t.Fatalf("retired %s hello accepted as %+v", r.name, h)
+			}
+		}
 		if err != nil {
 			return
 		}
-		if h.DocID == "" || len(h.DocID) > maxDocID {
-			t.Fatalf("accepted hello with bad doc ID length %d", len(h.DocID))
+		if h.DocID == "" || len(h.DocID) > maxDocID || !h.Compact {
+			t.Fatalf("accepted hello %+v", h)
 		}
-		var fwd bytes.Buffer
-		if err := h.Forward(&fwd); err != nil {
-			t.Fatalf("Forward on accepted hello: %v", err)
+		var buf bytes.Buffer
+		if err := WriteHello(&buf, h); err != nil {
+			t.Fatalf("WriteHello on accepted hello: %v", err)
 		}
-		h2, err := ReadHello(&fwd)
+		h2, err := ReadHello(&buf)
 		if err != nil {
-			t.Fatalf("re-read forwarded hello: %v", err)
+			t.Fatalf("re-read written hello: %v", err)
 		}
-		if h2.DocID != h.DocID || h2.Resume != h.Resume || h2.Compact != h.Compact ||
-			h2.Redirect != h.Redirect || h2.Replica != h.Replica || len(h2.Version) != len(h.Version) ||
-			(h2.Summary == nil) != (h.Summary == nil) || len(h2.Summary) != len(h.Summary) {
-			t.Fatalf("forward round-trip drift: %+v vs %+v", h, h2)
+		if !helloEqual(h, h2) {
+			t.Fatalf("round-trip drift: %+v vs %+v", h, h2)
 		}
 	})
 }

@@ -2,8 +2,11 @@ package netsync
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -20,7 +23,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := d.Events()
-	data, err := Marshal(events)
+	data, err := egwalker.MarshalEventsCompact(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestMarshalExternalParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Marshal(batch)
+	data, err := egwalker.MarshalEventsCompact(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	if err := d.Insert(0, "abcdef"); err != nil {
 		t.Fatal(err)
 	}
-	good, err := Marshal(d.Events())
+	good, err := egwalker.MarshalEventsCompact(d.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,29 +115,20 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 }
 
+// TestQuickVersionRoundTrip: the version form on the wire — the
+// run-length summary — round-trips random summaries exactly.
 func TestQuickVersionRoundTrip(t *testing.T) {
-	f := func(agents []string, seqs []uint16) bool {
-		var v egwalker.Version
-		for i := range agents {
-			seq := 0
-			if i < len(seqs) {
-				seq = int(seqs[i])
+	f := func(agents []string, starts, lens []uint16) bool {
+		v := egwalker.VersionSummary{}
+		for i, agent := range agents {
+			if len(agent) > maxAgentName || i >= len(starts) || i >= len(lens) {
+				continue
 			}
-			v = append(v, egwalker.EventID{Agent: agents[i], Seq: seq})
+			start := int(starts[i])
+			v[agent] = []egwalker.SeqRange{{Start: start, End: start + int(lens[i]) + 1}}
 		}
-		got, err := unmarshalVersion(marshalVersion(v))
-		if err != nil {
-			return false
-		}
-		if len(got) != len(v) {
-			return false
-		}
-		for i := range v {
-			if got[i] != v[i] {
-				return false
-			}
-		}
-		return true
+		got, err := UnmarshalVersionSummary(MarshalVersionSummary(v))
+		return err == nil && reflect.DeepEqual(got, v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -321,11 +315,11 @@ func TestSyncAfterConcurrentRelayEdits(t *testing.T) {
 
 func TestFrameErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgHello, []byte("hi")); err != nil {
+	if err := writeFrame(&buf, msgSummary, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(&buf)
-	if err != nil || typ != msgHello || string(payload) != "hi" {
+	if err != nil || typ != msgSummary || string(payload) != "hi" {
 		t.Fatalf("frame round trip: %v %v %q", typ, err, payload)
 	}
 	// Truncated frame.
@@ -339,5 +333,31 @@ func TestFrameErrors(t *testing.T) {
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, msgEvents})
 	if _, _, err := readFrame(&buf); err == nil {
 		t.Error("oversized frame accepted")
+	}
+}
+
+// TestFrameCapBoundsAllocation: a corrupt or hostile peer advertising
+// an enormous frame must be refused at the header, before any payload
+// allocation — the 16 MiB cap.
+func TestFrameCapBoundsAllocation(t *testing.T) {
+	var hdr [5]byte
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
+	hdr[4] = msgEvents
+	_, _, err := readFrame(bytes.NewReader(hdr[:]))
+	if err == nil {
+		t.Fatal("frame over the cap accepted")
+	}
+	if !strings.Contains(err.Error(), "oversized") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	// Exactly at the cap with a truncated body: accepted by the header
+	// check, then fails on the short read — never a success.
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame)
+	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
+		t.Fatal("truncated max-size frame accepted")
+	}
+	// The writer enforces the same cap.
+	if err := writeFrame(&bytes.Buffer{}, msgEvents, make([]byte, maxFrame+1)); err == nil {
+		t.Fatal("writeFrame accepted an over-cap payload")
 	}
 }

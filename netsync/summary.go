@@ -50,24 +50,6 @@ func MarshalVersionSummary(s egwalker.VersionSummary) []byte {
 	return buf
 }
 
-// UnmarshalVersionSummary decodes a summary, rejecting anything
-// non-canonical (overlapping, abutting, or empty ranges; duplicate or
-// unsorted agents; padded varints) or outside the hostile-input bounds
-// shared with version decoding (agent names over maxAgentName, seqs
-// over maxSeq). The result always passes egwalker's Validate, and
-// accepted bytes re-encode to themselves: equal summaries ⇔ equal
-// frames.
-func UnmarshalVersionSummary(data []byte) (egwalker.VersionSummary, error) {
-	s, rest, err := unmarshalSummaryRest(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("netsync: %d trailing bytes after version summary", len(rest))
-	}
-	return s, nil
-}
-
 // canonUvarint reads a minimally-encoded uvarint. The summary encoding
 // is canonical down to the byte level (equal summaries ⇔ equal bytes),
 // so padded varints like 0x80 0x00 — which the lenient reader would
@@ -86,78 +68,84 @@ func canonUvarint(r *byteReader) (uint64, error) {
 	return v, nil
 }
 
-// unmarshalSummaryRest decodes a summary and returns any bytes that
-// follow it, for payloads that embed a summary mid-stream (the v2 doc
-// hello, the symmetric Sync hello).
-func unmarshalSummaryRest(data []byte) (egwalker.VersionSummary, []byte, error) {
+// UnmarshalVersionSummary decodes a summary, rejecting anything
+// non-canonical (overlapping, abutting, or empty ranges; duplicate or
+// unsorted agents; padded varints; trailing bytes) or outside the
+// hostile-input bounds (agent names over maxAgentName, seqs over
+// maxSeq). The result always passes egwalker's Validate, and accepted
+// bytes re-encode to themselves: equal summaries ⇔ equal frames.
+func UnmarshalVersionSummary(data []byte) (egwalker.VersionSummary, error) {
 	r := &byteReader{buf: data}
 	agentCount, err := canonUvarint(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if agentCount > uint64(len(data)) {
 		// Every agent consumes at least three payload bytes, so a hostile
 		// count fails here before any allocation sized by it.
-		return nil, nil, fmt.Errorf("netsync: summary larger than payload")
+		return nil, fmt.Errorf("netsync: summary larger than payload")
 	}
 	s := make(egwalker.VersionSummary, min(agentCount, 1024))
 	prevAgent := ""
 	for i := uint64(0); i < agentCount; i++ {
 		nameLen, err := canonUvarint(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if nameLen > maxAgentName {
-			return nil, nil, fmt.Errorf("netsync: summary agent name length %d over cap %d", nameLen, maxAgentName)
+			return nil, fmt.Errorf("netsync: summary agent name length %d over cap %d", nameLen, maxAgentName)
 		}
 		name, err := r.bytes(int(nameLen))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		agent := string(name)
 		// Strictly increasing agent names: rejects both duplicates and
 		// out-of-order encodings (the encoder sorts, so accepting either
 		// would break byte-level canonicality).
 		if i > 0 && agent <= prevAgent {
-			return nil, nil, fmt.Errorf("netsync: summary agents out of order (%q after %q)", agent, prevAgent)
+			return nil, fmt.Errorf("netsync: summary agents out of order (%q after %q)", agent, prevAgent)
 		}
 		prevAgent = agent
 		rangeCount, err := canonUvarint(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if rangeCount == 0 {
-			return nil, nil, fmt.Errorf("netsync: summary agent %q has no ranges", agent)
+			return nil, fmt.Errorf("netsync: summary agent %q has no ranges", agent)
 		}
 		if rangeCount > uint64(len(data)) {
-			return nil, nil, fmt.Errorf("netsync: summary larger than payload")
+			return nil, fmt.Errorf("netsync: summary larger than payload")
 		}
 		ranges := make([]egwalker.SeqRange, 0, min(rangeCount, 1024))
 		prevEnd := uint64(0)
 		for j := uint64(0); j < rangeCount; j++ {
 			gap, err := canonUvarint(r)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if j > 0 && gap == 0 {
-				return nil, nil, fmt.Errorf("netsync: abutting ranges for agent %q in summary", agent)
+				return nil, fmt.Errorf("netsync: abutting ranges for agent %q in summary", agent)
 			}
 			length, err := canonUvarint(r)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if length == 0 {
-				return nil, nil, fmt.Errorf("netsync: empty range for agent %q in summary", agent)
+				return nil, fmt.Errorf("netsync: empty range for agent %q in summary", agent)
 			}
 			start := prevEnd + gap
 			end := start + length
 			if start > maxSeq || end > maxSeq {
-				return nil, nil, fmt.Errorf("netsync: summary seq %d over cap %d", end, uint64(maxSeq))
+				return nil, fmt.Errorf("netsync: summary seq %d over cap %d", end, uint64(maxSeq))
 			}
 			ranges = append(ranges, egwalker.SeqRange{Start: int(start), End: int(end)})
 			prevEnd = end
 		}
 		s[agent] = ranges
 	}
-	return s, data[r.off:], nil
+	if r.off != len(data) {
+		return nil, fmt.Errorf("netsync: %d trailing bytes after version summary", len(data)-r.off)
+	}
+	return s, nil
 }

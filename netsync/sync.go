@@ -14,7 +14,7 @@ import (
 // Sync concurrently (each end of the connection runs the same
 // symmetric protocol):
 //
-//  1. exchange HELLO frames carrying each side's version;
+//  1. exchange summary frames carrying each side's version summary;
 //  2. send the events the peer is missing (empty batches allowed);
 //  3. exchange DONE frames.
 //
@@ -26,19 +26,12 @@ func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 	br := bufio.NewReader(conn)
 
 	// Writes run in a goroutine so the protocol works over unbuffered
-	// transports (both sides write their HELLO before either reads).
+	// transports (both sides write their summary before either reads).
 	// The two send stages are sequenced through channels, so the writer
-	// is never used concurrently. The capability byte appended after
-	// the version advertises the compact columnar encoding and the
-	// summary handshake, and the summary itself follows the byte; peers
-	// predating either ignore trailing hello bytes, and absent the bits
-	// we use the legacy paths — so mixed-generation pairs still
-	// converge.
+	// is never used concurrently.
 	helloErr := make(chan error, 1)
 	go func() {
-		hello := append(marshalVersion(doc.Version()), capCompact|capSummary)
-		hello = append(hello, MarshalVersionSummary(doc.Summary())...)
-		err := writeFrame(bw, msgHello, hello)
+		err := writeFrame(bw, msgSummary, MarshalVersionSummary(doc.Summary()))
 		if err == nil {
 			err = bw.Flush()
 		}
@@ -47,43 +40,29 @@ func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 
 	typ, payload, err := readFrame(br)
 	if err != nil {
-		return fmt.Errorf("netsync: reading hello: %w", err)
+		return fmt.Errorf("netsync: reading summary: %w", err)
 	}
 	if err := <-helloErr; err != nil {
 		return err
 	}
-	if typ != msgHello {
-		return fmt.Errorf("netsync: expected hello, got frame type %#x", typ)
+	if typ != msgSummary {
+		return fmt.Errorf("netsync: expected summary, got frame type %#x", typ)
 	}
-	theirVersion, rest, err := unmarshalVersionRest(payload)
+	theirs, err := UnmarshalVersionSummary(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("netsync: bad version summary: %w", err)
 	}
-	peerCompact := len(rest) > 0 && rest[0]&capCompact != 0
-	peerSummary := len(rest) > 0 && rest[0]&capSummary != 0
 
-	// Send what they are missing. A summary-capable peer told us its
-	// exact event set, so the diff is exact even when it holds events
-	// we have never seen. A legacy frontier may reference events we
-	// don't know; those can't anchor a graph diff, so fall back to the
-	// subset of their version we do know (extra events we send are
-	// deduplicated on their side).
-	var missing []egwalker.Event
-	if peerSummary {
-		theirSummary, _, serr := unmarshalSummaryRest(rest[1:])
-		if serr != nil {
-			return fmt.Errorf("netsync: bad version summary in hello: %w", serr)
-		}
-		missing, err = doc.EventsSinceSummary(theirSummary)
-	} else {
-		missing, err = doc.EventsSince(doc.KnownSubset(theirVersion))
-	}
+	// Send what they are missing. The summary is their exact event set,
+	// so the diff is exact even when they hold events we have never
+	// seen.
+	missing, err := doc.EventsSinceSummary(theirs)
 	if err != nil {
 		return err
 	}
 	sendErr := make(chan error, 1)
 	go func() {
-		err := writeEventsChunked(bw, missing, peerCompact)
+		err := writeEventsChunked(bw, missing)
 		if err == nil {
 			err = writeFrame(bw, msgDone, nil)
 		}
@@ -165,7 +144,7 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 		close(outbox)
 	}()
 
-	if err := writeEventsChunked(bw, snapshot, false); err != nil {
+	if err := writeEventsChunked(bw, snapshot); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -251,62 +230,12 @@ func NewPeerConn(conn io.ReadWriter) *PeerConn {
 	return &PeerConn{bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
 }
 
-// SendDocHello names the document this connection is about. Call once,
-// before any other frame, when talking to a multiplexing host.
-func (p *PeerConn) SendDocHello(docID string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := WriteDocHello(p.bw, docID); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendDocHelloResume names the document and presents the client's
-// current version, asking the host for an incremental catch-up (only
-// the events after the version) instead of the full history.
-func (p *PeerConn) SendDocHelloResume(docID string, v egwalker.Version) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := WriteDocHelloResume(p.bw, docID, v); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendDocHelloV2 sends the v2 doc-ID hello: compact advertises the
-// columnar encoding (the host may then answer with compact frames, and
-// a cold join streams the document's encoded blocks); resume presents
-// v for an incremental catch-up. Hosts predating the v2 hello reject
-// the connection.
-func (p *PeerConn) SendDocHelloV2(docID string, v egwalker.Version, resume, compact bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := WriteDocHelloV2(p.bw, docID, v, resume, compact); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendEvents uploads a batch, splitting it into multiple frames if it
-// exceeds the frame cap.
+// SendEvents uploads a batch in the compact columnar encoding,
+// splitting it into multiple frames if it exceeds the frame cap.
 func (p *PeerConn) SendEvents(events []egwalker.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := writeEventsChunked(p.bw, events, false); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendEventsCompact is SendEvents with the compact columnar encoding.
-// Use it only when the peer advertised capCompact in its hello (a
-// multi-document host does, for the snapshot/catch-up it answers a v2
-// hello with).
-func (p *PeerConn) SendEventsCompact(events []egwalker.Event) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := writeEventsChunked(p.bw, events, true); err != nil {
+	if err := writeEventsChunked(p.bw, events); err != nil {
 		return err
 	}
 	return p.bw.Flush()
@@ -355,10 +284,10 @@ func (p *PeerConn) SendDone() error {
 // Recv blocks for the next frame. It returns the decoded events plus
 // the raw batch payload (for re-forwarding), or done=true on an orderly
 // DONE frame. io.EOF reports the peer hanging up without one. A
-// redirect frame (the answer a cluster node gives a redirect-capable
-// hello for a document it does not own) is returned as a
-// *RedirectError, so callers that advertised the capability can follow
-// it with errors.As; any other unexpected frame type is a plain error.
+// redirect frame (the answer a cluster node gives a hello for a
+// document it does not serve) is returned as a *RedirectError, which
+// callers follow with errors.As; any other unexpected frame type is a
+// plain error.
 func (p *PeerConn) Recv() (events []egwalker.Event, raw []byte, done bool, err error) {
 	f, err := p.RecvFrame()
 	if err != nil {
@@ -372,7 +301,7 @@ func (p *PeerConn) Recv() (events []egwalker.Event, raw []byte, done bool, err e
 	case FrameRedirect:
 		return nil, nil, false, &RedirectError{Addrs: f.Addrs}
 	default:
-		return nil, nil, false, fmt.Errorf("netsync: unexpected version frame")
+		return nil, nil, false, fmt.Errorf("netsync: unexpected summary frame")
 	}
 }
 
@@ -389,67 +318,17 @@ func NewClient(doc *egwalker.Doc, conn io.ReadWriter) *Client {
 }
 
 // NewClientForDoc wraps a connection to a multi-document host
-// (store.Server): it first sends the doc-ID hello naming which hosted
-// document to join, then behaves exactly like a Relay client.
+// (store.Server): it first sends the doc hello naming which hosted
+// document to join, carrying doc's version summary, then behaves
+// exactly like a Relay client. The host answers with exactly the
+// events doc is missing — everything for an empty doc (streamed as the
+// document's stored blocks), only the gap for a reconnecting replica,
+// even when the host lacks some of doc's own events. A cluster node
+// that does not serve the document answers with a redirect instead,
+// which the first Receive returns as a *RedirectError.
 func NewClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
 	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHello(docID); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewResumingClientForDoc is NewClientForDoc for a reconnecting
-// replica: the hello presents doc's current version, so the host sends
-// only the events this replica is missing — not the full history. Use
-// it whenever the local doc may already hold part of the hosted
-// document (a reconnect after a network blip, a sever for falling
-// behind, or a process restart from a saved file).
-func NewResumingClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHelloResume(docID, doc.Version()); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewCompactResumingClientForDoc is NewResumingClientForDoc over the
-// v2 hello: it additionally advertises the compact columnar encoding,
-// so the host's snapshot/catch-up arrives in a fraction of the bytes.
-// Hosts predating the v2 hello reject the connection — use the legacy
-// constructor against them.
-func NewCompactResumingClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHelloV2(docID, doc.Version(), true, true); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewSummaryResumingClientForDoc is the reconnect constructor that
-// survives fail-over: the v2 hello carries the doc's run-length
-// version summary (plus the compact capability), so the host answers
-// with the exact diff even when it is missing some of this replica's
-// events — where a frontier-resume hello against such a host degrades
-// to a full-history resend. Hosts predating the summary flag reject
-// the hello; use NewCompactResumingClientForDoc against them.
-func NewSummaryResumingClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendHello(Hello{DocID: docID, Summary: doc.Summary(), Compact: true}); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewCompactClientForDoc is NewClientForDoc over the v2 hello: a cold
-// join (no resume version) that advertises the compact columnar
-// encoding. Against a store.Server this is the cheapest possible join
-// — the host streams the document's encoded blocks verbatim off disk,
-// without materializing the document. Hosts predating the v2 hello
-// reject the connection — use the legacy constructor against them.
-func NewCompactClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHelloV2(docID, nil, false, true); err != nil {
+	if err := c.pc.SendHello(Hello{DocID: docID, Compact: true, Summary: doc.Summary()}); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -68,12 +68,9 @@ type Metrics struct {
 	// Zero-materialization serve path: BlockServes counts catch-ups
 	// streamed as verbatim encoded blocks (no document built);
 	// LazyMaterializations counts documents that had to be built on
-	// demand (a Text query, a legacy catch-up, a resume diff, a
-	// compaction); ResumeFallbacks counts resume handshakes that lost
-	// information — a summary hello that degraded to a full catch-up
-	// (diff failed), or a legacy frontier hello whose version named
-	// events this server lacks, forcing a known-subset resend of
-	// history the client already had. SummaryResumes counts resume
+	// demand (a Text query, a resume diff, a compaction);
+	// ResumeFallbacks counts summary hellos that degraded to a full
+	// catch-up because the diff failed. SummaryResumes counts resume
 	// hellos answered with an exact summary diff.
 	BlockServes          metrics.Counter
 	BlockServeEvents     metrics.Counter

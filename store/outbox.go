@@ -23,7 +23,7 @@ import (
 // re-marshalled as one batch. For a slow-but-alive peer this is a real
 // reprieve, not just bookkeeping — merging N small batches amortizes
 // per-frame headers, and run-length encoding compresses adjacent edits
-// from the same agents (a compact-encoded merge of hundreds of
+// from the same agents (a columnar merge of hundreds of
 // single-keystroke batches is often ~10x smaller than their sum). Only
 // if the queue is still over budget after coalescing is the peer
 // severed; it reconnects with a resume hello and catches up
@@ -44,11 +44,6 @@ type outbox struct {
 	bytes  int64 // sum of len(raw) over frames
 	closed bool
 
-	// compact records whether the peer decodes the compact columnar
-	// encoding; coalesced batches are re-marshalled in the densest
-	// encoding the peer accepts.
-	compact bool
-
 	peerBudget int64
 	globalCap  int64
 	global     *metrics.Gauge   // server-wide queued-bytes ledger (OutboxBytes)
@@ -63,13 +58,12 @@ type obFrame struct {
 	events []egwalker.Event
 }
 
-func newOutbox(peerBudget, globalCap int64, global *metrics.Gauge, coalesced *metrics.Counter, compact bool) *outbox {
+func newOutbox(peerBudget, globalCap int64, global *metrics.Gauge, coalesced *metrics.Counter) *outbox {
 	o := &outbox{
 		peerBudget: peerBudget,
 		globalCap:  globalCap,
 		global:     global,
 		coalesced:  coalesced,
-		compact:    compact,
 	}
 	o.cond.L = &o.mu
 	return o
@@ -126,8 +120,8 @@ func (o *outbox) overLocked(add int64) bool {
 }
 
 // coalesceLocked merges maximal runs of adjacent frames that carry
-// their decoded events, re-marshalling each run as one batch in the
-// peer's best encoding, and keeps the merge only when it is actually
+// their decoded events, re-marshalling each run as one columnar batch,
+// and keeps the merge only when it is actually
 // smaller (a merge that grows — rare, but possible across chunking
 // boundaries — is discarded).
 func (o *outbox) coalesceLocked() {
@@ -156,13 +150,7 @@ func (o *outbox) coalesceLocked() {
 			evs = append(evs, o.frames[k].events...)
 			oldBytes += int64(len(o.frames[k].raw))
 		}
-		var chunks [][]byte
-		var err error
-		if o.compact {
-			chunks, err = netsync.MarshalChunksCompact(evs)
-		} else {
-			chunks, err = netsync.MarshalChunks(evs)
-		}
+		chunks, err := netsync.MarshalChunksCompact(evs)
 		var newBytes int64
 		for _, c := range chunks {
 			newBytes += int64(len(c))

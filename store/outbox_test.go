@@ -13,7 +13,7 @@ import (
 )
 
 // singleEventFrames types n single-character inserts and returns each
-// edit as its own marshalled legacy frame with its decoded event
+// edit as its own marshalled frame with its decoded event
 // attached — the shape fan-out pushes for a live typing stream.
 func singleEventFrames(t *testing.T, n int) (raws [][]byte, events [][]egwalker.Event) {
 	t.Helper()
@@ -27,7 +27,7 @@ func singleEventFrames(t *testing.T, n int) (raws [][]byte, events [][]egwalker.
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks, err := netsync.MarshalChunks(evs)
+		chunks, err := netsync.MarshalChunksCompact(evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func singleEventFrames(t *testing.T, n int) (raws [][]byte, events [][]egwalker.
 func TestOutboxEmptyQueueAccepts(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	o := newOutbox(16, 16, &global, &coalesced, false)
+	o := newOutbox(16, 16, &global, &coalesced)
 	big := make([]byte, 4096)
 	if !o.push([][]byte{big}, nil) {
 		t.Fatal("empty outbox rejected an oversized frame")
@@ -80,7 +80,7 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 	// ~10 bytes per single-event legacy frame: 300 frames (~3 KB) blow
 	// a 2 KB budget around frame 200; the coalesced batch is far
 	// smaller, so every push must be accepted.
-	o := newOutbox(2048, 0, &global, &coalesced, true)
+	o := newOutbox(2048, 0, &global, &coalesced)
 	for i := range raws {
 		if !o.push([][]byte{raws[i]}, events[i]) {
 			t.Fatalf("push %d rejected: coalescing should have freed the budget", i)
@@ -122,8 +122,8 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 func TestOutboxGlobalCapShared(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	a := newOutbox(0, 1024, &global, &coalesced, false)
-	b := newOutbox(0, 1024, &global, &coalesced, false)
+	a := newOutbox(0, 1024, &global, &coalesced)
+	b := newOutbox(0, 1024, &global, &coalesced)
 	if !a.push([][]byte{make([]byte, 900)}, nil) {
 		t.Fatal("first push rejected")
 	}
@@ -152,7 +152,7 @@ func TestOutboxGlobalCapShared(t *testing.T) {
 func TestOutboxGracefulCloseHandsOffBacklog(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	o := newOutbox(0, 0, &global, &coalesced, false)
+	o := newOutbox(0, 0, &global, &coalesced)
 	o.push([][]byte{make([]byte, 10), make([]byte, 20)}, nil)
 	o.close(false)
 	raws, ok := o.drain()
@@ -178,7 +178,7 @@ func TestSeverAccountingIdempotent(t *testing.T) {
 	defer cs.Close()
 	serveOne(t, srv, ss)
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello(docID); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := pc.Recv(); err != nil { // initial empty catch-up
@@ -231,7 +231,7 @@ func TestOutboxDepthPeriodicSampling(t *testing.T) {
 	defer cs.Close()
 	serveOne(t, srv, ss)
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello("idle-doc"); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: "idle-doc", Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := pc.Recv(); err != nil {
@@ -295,7 +295,7 @@ func TestFanoutThousandSubscribersBounded(t *testing.T) {
 		}
 		conns[i] = c
 		pc := netsync.NewPeerConn(c)
-		if err := pc.SendDocHello(docID); err != nil {
+		if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 			t.Fatal(err)
 		}
 		go func(i int) {
@@ -332,7 +332,7 @@ func TestFanoutThousandSubscribersBounded(t *testing.T) {
 	}
 	defer wc.Close()
 	wpc := netsync.NewPeerConn(wc)
-	if err := wpc.SendDocHello(docID); err != nil {
+	if err := wpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := wpc.Recv(); err != nil {
@@ -425,7 +425,7 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	serveOne(t, srv, slowSS)
 	slowDoc := egwalker.NewDoc("slow")
 	slowPC := netsync.NewPeerConn(slowCS)
-	if err := slowPC.SendDocHelloV2(docID, nil, false, true); err != nil {
+	if err := slowPC.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 1: drain slowly — one frame every 8ms against a writer
@@ -460,7 +460,7 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	serveOne(t, srv, wss)
 	wdoc := egwalker.NewDoc("w")
 	wpc := netsync.NewPeerConn(wcs)
-	if err := wpc.SendDocHello(docID); err != nil {
+	if err := wpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := wpc.Recv(); err != nil {
@@ -519,7 +519,7 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	defer rcs.Close()
 	serveOne(t, srv, rss)
 	rpc := netsync.NewPeerConn(rcs)
-	if err := rpc.SendDocHelloResume(docID, slowDoc.Version()); err != nil {
+	if err := rpc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: slowDoc.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvInto(t, rpc, slowDoc, sent)

@@ -13,81 +13,6 @@ import (
 	"egwalker/netsync"
 )
 
-// TestCompactUploadFansOutPerCapability (regression): a compact-encoded
-// upload used to be forwarded verbatim to every peer, including peers
-// that never advertised the compact encoding — a legacy subscriber
-// would receive frames it cannot decode. The relay must re-marshal for
-// legacy peers and keep the verbatim bytes for compact ones.
-func TestCompactUploadFansOutPerCapability(t *testing.T) {
-	srv := newTestServer(t, ServerOptions{FlushInterval: time.Millisecond})
-	const docID = "fanout-caps"
-
-	type sub struct {
-		pc   *netsync.PeerConn
-		conn net.Conn
-	}
-	dial := func(hello func(pc *netsync.PeerConn) error) sub {
-		t.Helper()
-		cs, ss := net.Pipe()
-		serveOne(t, srv, ss)
-		pc := netsync.NewPeerConn(cs)
-		if err := hello(pc); err != nil {
-			t.Fatal(err)
-		}
-		cs.SetReadDeadline(time.Now().Add(10 * time.Second))
-		// Drain the (empty) catch-up frame.
-		if _, _, _, err := pc.Recv(); err != nil {
-			t.Fatal(err)
-		}
-		return sub{pc: pc, conn: cs}
-	}
-
-	legacy := dial(func(pc *netsync.PeerConn) error { return pc.SendDocHello(docID) })
-	defer legacy.conn.Close()
-	compact := dial(func(pc *netsync.PeerConn) error { return pc.SendDocHelloV2(docID, nil, false, true) })
-	defer compact.conn.Close()
-	uploader := dial(func(pc *netsync.PeerConn) error { return pc.SendDocHelloV2(docID, nil, false, true) })
-	defer uploader.conn.Close()
-
-	seed := egwalker.NewDoc("uploader")
-	if err := seed.Insert(0, "compact upload payload"); err != nil {
-		t.Fatal(err)
-	}
-	if err := uploader.pc.SendEventsCompact(seed.Events()); err != nil {
-		t.Fatal(err)
-	}
-
-	levs, lraw, _, err := legacy.pc.Recv()
-	if err != nil {
-		t.Fatalf("legacy subscriber: %v", err)
-	}
-	if egwalker.IsCompactBatch(lraw) {
-		t.Fatal("legacy subscriber received a compact-encoded frame")
-	}
-	ldoc := egwalker.NewDoc("l")
-	if _, err := ldoc.Apply(levs); err != nil {
-		t.Fatal(err)
-	}
-	if ldoc.Text() != seed.Text() {
-		t.Fatalf("legacy subscriber text %q, want %q", ldoc.Text(), seed.Text())
-	}
-
-	cevs, craw, _, err := compact.pc.Recv()
-	if err != nil {
-		t.Fatalf("compact subscriber: %v", err)
-	}
-	if !egwalker.IsCompactBatch(craw) {
-		t.Fatal("compact subscriber did not receive the uploader's bytes verbatim")
-	}
-	cdoc := egwalker.NewDoc("c")
-	if _, err := cdoc.Apply(cevs); err != nil {
-		t.Fatal(err)
-	}
-	if cdoc.Text() != seed.Text() {
-		t.Fatalf("compact subscriber text %q, want %q", cdoc.Text(), seed.Text())
-	}
-}
-
 // TestCloseWaitsForPinnedWork (regression): Close used to close every
 // DocStore regardless of refcounts, so an in-flight With/ServeConn
 // would Apply into a closed store — a shutdown race visible under
@@ -106,7 +31,7 @@ func TestCloseWaitsForPinnedWork(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.ServeConn(ss) }()
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello(docID); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	cs.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -201,7 +126,7 @@ func TestSaturatedCompactorReleasesAndEvicts(t *testing.T) {
 // is causally valid (no missing parents — it passes the journal's
 // structural validation) but semantically invalid (an insert at
 // position 5 of an empty document) journals cleanly yet fails to
-// replay, so EventsSinceKnown's materialization errors. The block
+// replay, so the summary diff's materialization errors. The block
 // serve path, which never replays, still works.
 func TestResumeFallbackSurfaced(t *testing.T) {
 	var mu sync.Mutex
@@ -237,8 +162,8 @@ func TestResumeFallbackSurfaced(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	// A compact resume presenting some non-empty version: the diff
-	// needs the materialized doc, which cannot be built.
+	// A resume presenting a summary the journal does not cover: the
+	// diff needs the materialized doc, which cannot be built.
 	stranger := egwalker.NewDoc("stranger")
 	if err := stranger.Insert(0, "elsewhere"); err != nil {
 		t.Fatal(err)
@@ -247,7 +172,7 @@ func TestResumeFallbackSurfaced(t *testing.T) {
 	serveOne(t, srv, ss)
 	defer cs.Close()
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHelloV2(docID, stranger.Version(), true, true); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: stranger.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	cs.SetReadDeadline(time.Now().Add(10 * time.Second))

@@ -61,7 +61,7 @@ func TestResumeReceivesOnlyNewEvents(t *testing.T) {
 	cs, ss := net.Pipe()
 	serveOne(t, srv, ss)
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello(docID); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := recvInto(t, pc, doc, 100); got != 100 {
@@ -96,7 +96,7 @@ func TestResumeReceivesOnlyNewEvents(t *testing.T) {
 	defer cs2.Close()
 	serveOne(t, srv, ss2)
 	pc2 := netsync.NewPeerConn(cs2)
-	if err := pc2.SendDocHelloResume(docID, doc.Version()); err != nil {
+	if err := pc2.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: doc.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvInto(t, pc2, doc, 120)
@@ -115,14 +115,15 @@ func TestResumeReceivesOnlyNewEvents(t *testing.T) {
 	if m.Resumes != 1 || m.ResumeEvents != 20 {
 		t.Errorf("metrics: resumes=%d resume_events=%d, want 1/20", m.Resumes, m.ResumeEvents)
 	}
-	if m.FullSnapshots < 1 || m.SnapshotEvents < 100 {
-		t.Errorf("metrics: full_snapshots=%d snapshot_events=%d", m.FullSnapshots, m.SnapshotEvents)
+	if m.BlockServes != 1 || m.BlockServeEvents != 100 {
+		t.Errorf("metrics: block_serves=%d block_serve_events=%d, want the cold join's 1/100", m.BlockServes, m.BlockServeEvents)
 	}
 }
 
-// TestResumeUnknownVersionFallsBack: a resume hello whose version
-// references events the server never saw still converges — the server
-// narrows to the known subset and sends a superset of what is missing.
+// TestResumeUnknownVersionFallsBack: a resume hello whose summary
+// includes events the server never saw still converges — the server
+// sends exactly what the client lacks (nothing here) and merges the
+// client's upload, without counting a resume fallback.
 func TestResumeUnknownVersionFallsBack(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
 	const docID = "resume-foreign"
@@ -155,7 +156,7 @@ func TestResumeUnknownVersionFallsBack(t *testing.T) {
 	cs, ss := net.Pipe()
 	defer cs.Close()
 	serveOne(t, srv, ss)
-	c, err := netsync.NewResumingClientForDoc(doc, cs, docID)
+	c, err := netsync.NewClientForDoc(doc, cs, docID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +187,10 @@ func TestResumeUnknownVersionFallsBack(t *testing.T) {
 			t.Fatalf("server never merged offline edits: %q", text)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	m := srv.MetricsSnapshot()
+	if m.SummaryResumes != 1 || m.ResumeEvents != 0 || m.ResumeFallbacks != 0 {
+		t.Errorf("metrics: summary_resumes=%d resume_events=%d resume_fallbacks=%d, want 1/0/0",
+			m.SummaryResumes, m.ResumeEvents, m.ResumeFallbacks)
 	}
 }

@@ -55,7 +55,7 @@ func (s *DocStore) CutForServe() (*BlockCut, bool) {
 // StreamBlocks reads the cut's snapshot and WAL blocks off disk and
 // hands each encoded payload to send, verbatim — the zero-
 // materialization catch-up. Every payload is a complete batch frame a
-// compact-capable peer decodes like any other events frame (the
+// peer decodes like any other events frame (the
 // snapshot is one payload; each WAL block is one payload, either
 // encoding). Returns the number of payloads sent; on error the stream
 // may be partial, and the caller should fall back to a decoded

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -260,5 +262,56 @@ func TestServerBackgroundCompaction(t *testing.T) {
 			t.Fatal("background compaction never produced a snapshot")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServeConnRejectsRetiredHellos: a hello of a retired generation —
+// the first doc hello (frame 0x04), a second-generation hello without
+// the compact bit, or one setting the retired frontier-resume (0x02)
+// or redirect (0x04) bit — is refused with an error before anything is
+// written back, even for a document the server holds.
+func TestServeConnRejectsRetiredHellos(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
+	const docID = "d"
+	if err := srv.Append(docID, []egwalker.Event{{ID: egwalker.EventID{Agent: "a"}, Insert: true, Content: 'x'}}); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(typ byte, payload ...byte) []byte {
+		hdr := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		return append(append(hdr, typ), payload...)
+	}
+	withID := func(head ...byte) []byte { return append(head, 1, docID[0]) }
+	for _, tc := range []struct {
+		name  string
+		hello []byte
+	}{
+		{"v1 hello", frame(0x04, withID()...)},
+		{"v1 resume hello", frame(0x04, append(withID(), 1, 1, 'a', 0)...)},
+		{"v2 without compact", frame(0x05, withID(0x00)...)},
+		{"v2 resume bit", frame(0x05, append(withID(0x03), 1, 1, 'a', 0)...)},
+		{"v2 redirect bit", frame(0x05, withID(0x05)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs, ss := net.Pipe()
+			defer cs.Close()
+			served := make(chan error, 1)
+			go func() {
+				served <- srv.ServeConn(ss)
+				ss.Close()
+			}()
+			cs.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := cs.Write(tc.hello); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := io.Copy(io.Discard, cs); n != 0 || err != nil {
+				t.Fatalf("server wrote %d bytes back (read error %v), want none", n, err)
+			}
+			if err := <-served; err == nil {
+				t.Fatal("ServeConn accepted the hello")
+			}
+		})
+	}
+	if m := srv.MetricsSnapshot(); m.BlockServes+m.FullSnapshots+m.Resumes != 0 {
+		t.Fatalf("a refused hello was served: %+v", m)
 	}
 }

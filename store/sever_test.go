@@ -16,12 +16,14 @@ import (
 // receiving every event — and the severed client reconverges by
 // reconnecting with an incremental resume instead of a full snapshot.
 func TestSlowSubscriberSeverAndResume(t *testing.T) {
-	// The per-peer outbox budget is sized around the legacy encoding's
-	// ~9-10 bytes per single-char insert: the 100 events B drains while
-	// alive can never overrun it even if they all queue at once
-	// (~1 KiB), while the 300-event backlog after B stalls (~2.7 KiB,
-	// and coalescing legacy frames barely compresses) reliably does.
-	srv := newTestServer(t, ServerOptions{FlushInterval: time.Millisecond, OutboxBytesPerPeer: 2048})
+	// Every event comes from its own agent, so coalescing cannot fold
+	// a backlog into one run: a coalesced batch costs ~16 bytes per
+	// event, its agent name included. The per-peer budget is sized
+	// around that: the 100 events B drains while alive can never
+	// overrun it even if they all queue at once (~1.6 KiB coalesced),
+	// while the 300-event backlog after B stalls (~5 KiB coalesced)
+	// reliably does.
+	srv := newTestServer(t, ServerOptions{FlushInterval: time.Millisecond, OutboxBytesPerPeer: 3072})
 	const docID = "sever-doc"
 	const totalEvents = 400
 	const stallAt = 100
@@ -33,7 +35,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	serveOne(t, srv, bss)
 	bdoc := egwalker.NewDoc("b")
 	bpc := netsync.NewPeerConn(bcs)
-	if err := bpc.SendDocHello(docID); err != nil {
+	if err := bpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +45,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	serveOne(t, srv, ass)
 	adoc := egwalker.NewDoc("a")
 	apc := netsync.NewPeerConn(acs)
-	if err := apc.SendDocHello(docID); err != nil {
+	if err := apc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	aDone := make(chan error, 1)
@@ -62,15 +64,16 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 		aDone <- nil
 	}()
 
-	// C: the writer, uploading one single-event batch at a time so the
-	// slow peer's outbox fills batch by batch. C must read its (empty)
+	// C: the writer, uploading one single-event batch at a time — each
+	// event from a new agent — so the slow peer's outbox fills batch by
+	// batch. C must read its (empty)
 	// initial snapshot frame first — net.Pipe is unbuffered.
 	ccs, css := net.Pipe()
 	defer ccs.Close()
 	serveOne(t, srv, css)
 	cdoc := egwalker.NewDoc("c")
 	cpc := netsync.NewPeerConn(ccs)
-	if err := cpc.SendDocHello(docID); err != nil {
+	if err := cpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := cpc.Recv(); err != nil {
@@ -88,12 +91,14 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 			if i == stallAt {
 				<-bStalled
 			}
-			pre := cdoc.Version()
-			if err := cdoc.Insert(cdoc.Len(), "x"); err != nil {
-				cErr <- err
-				return
-			}
-			evs, err := cdoc.EventsSince(pre)
+			evs := []egwalker.Event{{
+				ID:      egwalker.EventID{Agent: fmt.Sprintf("typist-%04d", i)},
+				Parents: cdoc.Version(),
+				Insert:  true,
+				Pos:     i,
+				Content: 'x',
+			}}
+			_, err := cdoc.Apply(evs)
 			if err == nil {
 				err = cpc.SendEvents(evs)
 			}
@@ -162,7 +167,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	defer rcs.Close()
 	serveOne(t, srv, rss)
 	rpc := netsync.NewPeerConn(rcs)
-	if err := rpc.SendDocHelloResume(docID, bdoc.Version()); err != nil {
+	if err := rpc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: bdoc.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvInto(t, rpc, bdoc, totalEvents)

@@ -375,7 +375,7 @@ func (s *DocStore) openActive(segs []uint64, lastRemoved bool) error {
 }
 
 // snapshotServable reports whether a snapshot file can be handed to a
-// compact peer verbatim as one catch-up frame: compact columnar format
+// peer verbatim as one catch-up frame: compact columnar format
 // and within the frame payload cap.
 func snapshotServable(fs FS, path string) bool {
 	fi, err := fs.Stat(path)
@@ -782,35 +782,6 @@ func (s *DocStore) EventsSince(v egwalker.Version) ([]egwalker.Event, error) {
 		return nil, err
 	}
 	return s.doc.EventsSince(v)
-}
-
-// EventsSinceKnown is EventsSince with unknown IDs in v ignored: the
-// legacy incremental-resume path. A reconnecting client's version may
-// reference events this server never received (edits synced between
-// peers while offline); narrowing to the known subset still yields a
-// superset of what the client is missing, and its Apply deduplicates.
-// The superset can be arbitrarily large — dropping a head anchors the
-// diff below everything that head dominates — which is exactly what
-// the summary handshake (EventsSinceSummary) eliminates.
-func (s *DocStore) EventsSinceKnown(v egwalker.Version) ([]egwalker.Event, error) {
-	events, _, err := s.EventsSinceKnownLossy(v)
-	return events, err
-}
-
-// EventsSinceKnownLossy is EventsSinceKnown, additionally reporting
-// how many of v's IDs were unknown here and silently dropped. dropped
-// > 0 means the answer re-sends history the client already has — the
-// signal the server's resume_fallbacks metric counts for legacy
-// clients.
-func (s *DocStore) EventsSinceKnownLossy(v egwalker.Version) (events []egwalker.Event, dropped int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.materializeLocked(); err != nil {
-		return nil, 0, err
-	}
-	known := s.doc.KnownSubset(v)
-	events, err = s.doc.EventsSince(known)
-	return events, len(v) - len(known), err
 }
 
 // Summary returns the run-length version summary of everything the

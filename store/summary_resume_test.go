@@ -91,7 +91,7 @@ func TestSummaryResumeExactDiff(t *testing.T) {
 			}
 		}
 	}()
-	if err := pc.SendEventsCompact(missing); err != nil {
+	if err := pc.SendEvents(missing); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -172,87 +172,5 @@ func TestSummaryResumeZeroWhenServerBehind(t *testing.T) {
 	if m.SummaryResumes != 1 || m.ResumeEvents != 0 || m.ResumeFallbacks != 0 {
 		t.Errorf("metrics: summary_resumes=%d resume_events=%d resume_fallbacks=%d, want 1/0/0",
 			m.SummaryResumes, m.ResumeEvents, m.ResumeFallbacks)
-	}
-}
-
-// TestLegacyResumeUnknownFrontierCountsFallback pins the legacy
-// behaviour the summary hello exists to fix: a frontier hello naming
-// events the server lacks still converges, but only by re-sending
-// covered history — and the server counts it as a resume fallback so
-// operators can see legacy clients paying that tax.
-func TestLegacyResumeUnknownFrontierCountsFallback(t *testing.T) {
-	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
-	const docID = "legacy-fallback"
-
-	seed := egwalker.NewDoc("seed")
-	for i := 0; i < 40; i++ {
-		if err := seed.Insert(i, "y"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.Append(docID, seed.Events()); err != nil {
-		t.Fatal(err)
-	}
-
-	doc := egwalker.NewDoc("wanderer")
-	if _, err := doc.Apply(seed.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if err := doc.Insert(0, "hi "); err != nil {
-		t.Fatal(err)
-	}
-	missing, err := doc.EventsSince(seed.Version())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cs, ss := net.Pipe()
-	defer cs.Close()
-	serveOne(t, srv, ss)
-	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHelloResume(docID, doc.Version()); err != nil {
-		t.Fatal(err)
-	}
-	// The server drops the unknown head, anchors on the empty known
-	// subset, and re-sends the 40 events the client already has.
-	received := 0
-	for received < 40 {
-		events, _, done, err := pc.Recv()
-		if err != nil || done {
-			t.Fatalf("recv: done=%v err=%v after %d events", done, err, received)
-		}
-		received += len(events)
-	}
-	go func() {
-		for {
-			if _, _, done, err := pc.Recv(); err != nil || done {
-				return
-			}
-		}
-	}()
-	if err := pc.SendEventsCompact(missing); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		text, err := srv.Text(docID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if text == "hi "+seed.Text() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never merged offline edits: %q", text)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	m := srv.MetricsSnapshot()
-	if m.ResumeFallbacks != 1 {
-		t.Errorf("metrics: resume_fallbacks=%d, want 1 — dropped frontier heads must be surfaced", m.ResumeFallbacks)
-	}
-	if m.SummaryResumes != 0 {
-		t.Errorf("metrics: summary_resumes=%d, want 0 for a legacy hello", m.SummaryResumes)
 	}
 }
