@@ -9,16 +9,17 @@ import (
 
 // This file bridges the public event types to internal/colenc, the
 // compact columnar batch codec (docs/FORMAT.md). Two encodings of an
-// event batch coexist:
+// event batch exist:
 //
-//   - the legacy per-event codec (MarshalEvents/UnmarshalEvents in
-//     delta.go) — simple, byte-stable, and what every pre-colenc file,
-//     WAL segment, and peer speaks;
 //   - the columnar codec (MarshalEventsCompact) — run-length columns,
-//     typically 2-10x smaller on real editing histories.
+//     typically 2-10x smaller on real editing histories, and the only
+//     one any writer emits;
+//   - the legacy per-event codec (MarshalEvents/UnmarshalEvents in
+//     delta.go) — what WAL segments and delta files written before the
+//     columnar codec hold.
 //
 // The two are distinguished by the columnar magic, so any reader that
-// may see either calls UnmarshalEventsAuto.
+// may see older bytes calls UnmarshalEventsAuto.
 
 // MarshalEventsCompact encodes a batch of events in the compact
 // columnar format. The batch must be in causal order (parents precede
@@ -38,9 +39,9 @@ func MarshalEventsCompact(events []Event) ([]byte, error) {
 const maxAutoDecodeEvents = 1 << 24
 
 // UnmarshalEventsAuto decodes an event batch in either encoding,
-// sniffing the columnar magic. Use it wherever the writer may be
-// either generation: WAL segments, delta files, and network frames all
-// interleave the two formats freely. It accepts any batch
+// sniffing the columnar magic. Use it wherever older bytes may turn
+// up: WAL segments and delta files persisted before every writer became
+// columnar, and the events frames that stream them. It accepts any batch
 // MarshalEventsCompact produces, up to maxAutoDecodeEvents.
 func UnmarshalEventsAuto(data []byte) ([]Event, error) {
 	if colenc.Sniff(data) {

@@ -108,16 +108,16 @@ func TestColencGoldenDocFiles(t *testing.T) {
 	d := goldenDoc(t)
 	cases := []struct {
 		name string
-		opts egwalker.SaveOptions
+		mode egwalker.SaveMode
 	}{
-		{"doc-plain.egc", egwalker.SaveOptions{}},
-		{"doc-cached.egc", egwalker.SaveOptions{CacheFinalDoc: true}},
-		{"doc-legacy.egw", egwalker.SaveOptions{Legacy: true, CacheFinalDoc: true}},
+		{"doc-plain.egc", egwalker.SaveMode{}},
+		{"doc-cached.egc", egwalker.SaveMode{Options: egwalker.SaveOptions{CacheFinalDoc: true}}},
+		{"doc-legacy.egw", egwalker.SaveMode{EGW1: true, Options: egwalker.SaveOptions{CacheFinalDoc: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := d.Save(&buf, tc.opts); err != nil {
+			if err := tc.mode.Save(d, &buf); err != nil {
 				t.Fatal(err)
 			}
 			fixture := checkGolden(t, tc.name, buf.Bytes())

@@ -9,15 +9,20 @@ import (
 	"math"
 )
 
-// This file implements the wire/on-disk encoding of event *batches* —
-// arbitrary causally ordered subsets of an event graph — and the delta
-// block built on top of it. Whole-document files (Save/Load) use the
-// columnar format in internal/encoding; batches are the complement: the
-// incremental unit that flows over the network (netsync frames) and
-// into the durable write-ahead log (package store). Following §3.8,
-// parents pointing at events inside the batch compress to relative
-// indexes and runs of events by one agent share one name-table entry;
-// external parents are encoded as full (agent, seq) IDs.
+// This file implements the legacy per-event batch codec
+// (MarshalEvents/UnmarshalEvents) and the delta block, the checksummed
+// envelope every journaled or saved-incremental batch travels in.
+// Whole-document files (Save/Load) are the complement: they hold an
+// entire history. Batches are the incremental unit that flows over the
+// network (netsync frames) and into the durable write-ahead log
+// (package store). Every writer emits the columnar payload
+// (MarshalEventsCompact, docs/FORMAT.md); the per-event codec stays
+// because readers must still decode blocks persisted before the
+// columnar format existed, and because the tests pin the two codecs
+// against each other. In it, following §3.8, parents pointing at
+// events inside the batch compress to relative indexes and runs of
+// events by one agent share one name-table entry; external parents
+// are encoded as full (agent, seq) IDs.
 
 // Limits on decoded batches, guarding against corrupt or hostile input
 // triggering unbounded allocation. The parent cap bounds only semantic
@@ -36,7 +41,8 @@ const (
 var ErrCorruptDelta = errors.New("egwalker: corrupt delta block (checksum mismatch)")
 
 // ErrBlockTooLarge reports an event batch that encodes past the
-// per-block payload cap; split it (DeltaBlocks does so automatically).
+// per-block payload cap; split it (netsync.MarshalChunksCompact cuts a
+// batch into payloads that fit).
 var ErrBlockTooLarge = errors.New("egwalker: delta block too large")
 
 // MaxDeltaPayload bounds a single delta block (and therefore a single
@@ -45,8 +51,6 @@ var ErrBlockTooLarge = errors.New("egwalker: delta block too large")
 // netsync frame-payload cap, so any journaled block can be forwarded
 // as one frame and vice versa.
 const MaxDeltaPayload = 16 << 20
-
-const maxDeltaPayload = MaxDeltaPayload
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -307,73 +311,16 @@ func UnmarshalEvents(data []byte) ([]Event, error) {
 // unit for incremental file save/load (save a full document once, then
 // append the events since the last save instead of rewriting the file).
 
-// MaxEventsPerBlock is the batch size writers split at so one delta
-// block (or one network frame) stays far below the 16 MiB payload cap:
-// 64k single-character events encode to ~1 MiB.
-const MaxEventsPerBlock = 1 << 16
-
-// ChunkEvents splits a batch into MaxEventsPerBlock-sized sub-batches
-// (sharing the backing array). Causal order is preserved, so each
-// chunk is itself a valid batch: later chunks reference earlier
-// chunks' events as external parents, which Apply resolves because
-// they are admitted first.
-func ChunkEvents(events []Event) [][]Event {
-	if len(events) <= MaxEventsPerBlock {
-		return [][]Event{events}
-	}
-	chunks := make([][]Event, 0, len(events)/MaxEventsPerBlock+1)
-	for off := 0; off < len(events); off += MaxEventsPerBlock {
-		end := off + MaxEventsPerBlock
-		if end > len(events) {
-			end = len(events)
-		}
-		chunks = append(chunks, events[off:end])
-	}
-	return chunks
-}
-
-// DeltaBlock encodes the given events as one complete delta block
-// (length prefix, checksum, payload) ready to append to a file or
-// stream. Encoding is pure — no bytes have been written anywhere when
-// it fails — which lets journaling callers distinguish a rejected
-// batch from a torn physical write.
-func DeltaBlock(events []Event) ([]byte, error) {
-	return deltaBlockWith(events, MarshalEvents)
-}
-
-// DeltaBlockCompact is DeltaBlock with the compact columnar payload
-// (docs/FORMAT.md). Readers need no advance knowledge: ReadDelta
-// sniffs the payload, so legacy and compact blocks interleave freely
-// in one file or WAL segment.
-func DeltaBlockCompact(events []Event) ([]byte, error) {
-	return deltaBlockWith(events, MarshalEventsCompact)
-}
-
-func deltaBlockWith(events []Event, marshal func([]Event) ([]byte, error)) ([]byte, error) {
-	payload, err := marshal(events)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) > maxDeltaPayload {
-		return nil, fmt.Errorf("%w (%d bytes, cap %d)", ErrBlockTooLarge, len(payload), maxDeltaPayload)
-	}
-	var block []byte
-	block = appendUvarint(block, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
-	block = append(block, crc[:]...)
-	return append(block, payload...), nil
-}
-
-// WrapDeltaPayload wraps an already-encoded batch payload (either
-// encoding) in the delta-block envelope without re-encoding it. This
-// is the zero-copy journaling path: a store that validated an uploaded
-// frame's structure can append the peer's exact bytes to its WAL, and
-// ReadDelta recovers them as any other block. The caller vouches that
-// payload is a complete MarshalEvents or MarshalEventsCompact batch.
+// WrapDeltaPayload wraps an already-encoded batch payload in the
+// delta-block envelope without re-encoding it. This is the one block
+// writer: a store journals an uploaded frame's exact bytes through it
+// (zero-copy), and its own commits and WriteDelta wrap freshly encoded
+// columnar payloads. ReadDelta recovers either as any other block. The
+// caller vouches that payload is a complete MarshalEventsCompact
+// batch.
 func WrapDeltaPayload(payload []byte) ([]byte, error) {
-	if len(payload) > maxDeltaPayload {
-		return nil, fmt.Errorf("%w (%d bytes, cap %d)", ErrBlockTooLarge, len(payload), maxDeltaPayload)
+	if len(payload) > MaxDeltaPayload {
+		return nil, fmt.Errorf("%w (%d bytes, cap %d)", ErrBlockTooLarge, len(payload), MaxDeltaPayload)
 	}
 	block := make([]byte, 0, binary.MaxVarintLen64+4+len(payload))
 	block = appendUvarint(block, uint64(len(payload)))
@@ -383,56 +330,20 @@ func WrapDeltaPayload(payload []byte) ([]byte, error) {
 	return append(block, payload...), nil
 }
 
-// WriteDelta writes the given events as one delta block.
+// WriteDelta writes the given events as one delta block with a
+// columnar payload. A batch whose encoding exceeds MaxDeltaPayload is
+// rejected with ErrBlockTooLarge before anything is written.
 func WriteDelta(w io.Writer, events []Event) error {
-	block, err := DeltaBlock(events)
+	payload, err := MarshalEventsCompact(events)
+	if err != nil {
+		return err
+	}
+	block, err := WrapDeltaPayload(payload)
 	if err != nil {
 		return err
 	}
 	_, err = w.Write(block)
 	return err
-}
-
-// DeltaBlocks encodes a batch as one or more complete delta blocks,
-// splitting first by MaxEventsPerBlock and then — for pathological
-// batches whose events are individually huge (maximal agent names,
-// hundreds of external parents) — by halving until every block fits
-// the payload cap. Use this rather than DeltaBlock when the batch size
-// is not under the caller's control.
-func DeltaBlocks(events []Event) ([][]byte, error) {
-	return deltaBlocksWith(events, DeltaBlock)
-}
-
-// DeltaBlocksCompact is DeltaBlocks with compact columnar payloads —
-// what the durable store journals for large group commits and what
-// compaction-era history is written as.
-func DeltaBlocksCompact(events []Event) ([][]byte, error) {
-	return deltaBlocksWith(events, DeltaBlockCompact)
-}
-
-func deltaBlocksWith(events []Event, block func([]Event) ([]byte, error)) ([][]byte, error) {
-	var out [][]byte
-	var emit func(evs []Event) error
-	emit = func(evs []Event) error {
-		b, err := block(evs)
-		if err == nil {
-			out = append(out, b)
-			return nil
-		}
-		if errors.Is(err, ErrBlockTooLarge) && len(evs) > 1 {
-			if err := emit(evs[:len(evs)/2]); err != nil {
-				return err
-			}
-			return emit(evs[len(evs)/2:])
-		}
-		return err
-	}
-	for _, chunk := range ChunkEvents(events) {
-		if err := emit(chunk); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // SaveSince writes the events newer than v as one delta block — the
@@ -489,11 +400,11 @@ func ReadDelta(r io.Reader) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxDeltaPayload {
-		// No writer produces blocks past the cap (DeltaBlock enforces
-		// it), so an oversized length is a damaged prefix — corruption,
-		// truncatable at a tail.
-		return nil, fmt.Errorf("egwalker: delta block claims %d bytes (cap %d): %w", n, maxDeltaPayload, ErrCorruptDelta)
+	if n > MaxDeltaPayload {
+		// No writer produces blocks past the cap (WrapDeltaPayload
+		// enforces it), so an oversized length is a damaged prefix —
+		// corruption, truncatable at a tail.
+		return nil, fmt.Errorf("egwalker: delta block claims %d bytes (cap %d): %w", n, MaxDeltaPayload, ErrCorruptDelta)
 	}
 	buf := make([]byte, 4+n)
 	if _, err := io.ReadFull(r, buf); err != nil {

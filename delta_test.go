@@ -2,6 +2,7 @@ package egwalker
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -68,6 +69,10 @@ func TestSaveSinceDeltaRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := b.SaveSince(&buf, shared); err != nil {
 		t.Fatal(err)
+	}
+	// One block: uvarint length, CRC32-C, then a columnar payload.
+	if _, n := binary.Uvarint(buf.Bytes()); !IsCompactBatch(buf.Bytes()[n+4:]) {
+		t.Fatal("SaveSince wrote a non-columnar payload")
 	}
 	if _, err := a.ApplyDelta(&buf); err != nil {
 		t.Fatal(err)

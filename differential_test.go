@@ -152,7 +152,8 @@ func TestDifferentialCodecTraces(t *testing.T) {
 			if err := doc.Save(&compactFile, egwalker.SaveOptions{CacheFinalDoc: true}); err != nil {
 				t.Fatal(err)
 			}
-			if err := doc.Save(&legacyFile, egwalker.SaveOptions{CacheFinalDoc: true, Legacy: true}); err != nil {
+			egw1 := egwalker.SaveMode{EGW1: true, Options: egwalker.SaveOptions{CacheFinalDoc: true}}
+			if err := egw1.Save(doc, &legacyFile); err != nil {
 				t.Fatal(err)
 			}
 			fromCompactFile, err := egwalker.Load(&compactFile, "loader")

@@ -65,10 +65,11 @@
 // fixtures under testdata/colenc by hand), and docs/ARCHITECTURE.md
 // maps the packages involved. The same frame serves event batches
 // everywhere: MarshalEventsCompact/UnmarshalEventsAuto encode and
-// sniff-decode it, store snapshots and large WAL group commits use it
-// on disk, and every netsync events frame carries it. Legacy files
-// (SaveOptions.Legacy, or anything written before the columnar
-// format) still load via magic sniffing.
+// sniff-decode it, store snapshots and every WAL block use it on
+// disk, and every netsync events frame carries it. Only the pruned
+// save (SaveOptions.OmitDeletedContent) still writes the legacy "EGW1"
+// file format; legacy files and batches written before the columnar
+// format still load via magic sniffing.
 //
 // SaveSince writes just the events newer than a version as a
 // self-delimiting, checksummed delta block, so a saved file can be

@@ -464,32 +464,26 @@ type SaveOptions struct {
 	CacheFinalDoc bool
 	// OmitDeletedContent drops deleted characters' content (smaller
 	// files, like Yjs; historical versions become unreconstructable).
-	// Implies the legacy format, which is the only one carrying the
-	// pruning bitmap.
+	// It writes the legacy "EGW1" format, the only one carrying the
+	// pruning bitmap (Fig. 12).
 	OmitDeletedContent bool
 	// Compress DEFLATE-compresses inserted content.
 	Compress bool
-	// Legacy writes the original "EGW1" whole-document format instead
-	// of the compact columnar one. Load reads both transparently.
-	Legacy bool
 }
 
-// Save writes the document (event graph, optionally plus text) to w.
-// By default it emits the compact columnar format (docs/FORMAT.md);
-// opts.Legacy selects the original encoding. Load reads either.
+// Save writes the document (event graph, optionally plus text) to w in
+// the compact columnar format (docs/FORMAT.md), or in the legacy
+// "EGW1" format when opts.OmitDeletedContent asks for pruning. Load
+// reads either.
 func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
-	if opts.Legacy || opts.OmitDeletedContent {
-		var deleted map[causal.LV]bool
-		var err error
-		if opts.OmitDeletedContent {
-			deleted, err = encoding.DeletedSet(d.log)
-			if err != nil {
-				return err
-			}
+	if opts.OmitDeletedContent {
+		deleted, err := encoding.DeletedSet(d.log)
+		if err != nil {
+			return err
 		}
 		return encoding.Encode(w, d.log, encoding.Options{
 			CacheFinalDoc:      opts.CacheFinalDoc,
-			OmitDeletedContent: opts.OmitDeletedContent,
+			OmitDeletedContent: true,
 			Compress:           opts.Compress,
 		}, d.text.String(), deleted)
 	}

@@ -148,27 +148,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := d.Delete(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []SaveOptions{
-		{},
-		{CacheFinalDoc: true},
-		{CacheFinalDoc: true, Compress: true},
-		{Legacy: true},
-		{Legacy: true, CacheFinalDoc: true, Compress: true},
-		{OmitDeletedContent: true, CacheFinalDoc: true},
-	} {
+	for _, mode := range SaveModes {
 		var buf bytes.Buffer
-		if err := d.Save(&buf, opts); err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+		if err := mode.Save(d, &buf); err != nil {
+			t.Fatalf("%+v: %v", mode, err)
 		}
 		got, err := Load(&buf, "b")
 		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			t.Fatalf("%+v: %v", mode, err)
 		}
 		if got.Text() != d.Text() {
-			t.Fatalf("%+v: %q != %q", opts, got.Text(), d.Text())
+			t.Fatalf("%+v: %q != %q", mode, got.Text(), d.Text())
 		}
 		if got.NumEvents() != d.NumEvents() {
-			t.Fatalf("%+v: events %d != %d", opts, got.NumEvents(), d.NumEvents())
+			t.Fatalf("%+v: events %d != %d", mode, got.NumEvents(), d.NumEvents())
 		}
 		// The loaded doc must be editable and mergeable.
 		if err := got.Insert(0, ">"); err != nil {
@@ -179,7 +172,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		if d.Text() != ">"+got.Text()[1:] && d.Text() != got.Text() {
 			// After merging, d contains got's edit.
-			t.Fatalf("%+v: merge after load: %q vs %q", opts, d.Text(), got.Text())
+			t.Fatalf("%+v: merge after load: %q vs %q", mode, d.Text(), got.Text())
 		}
 		// Reset d for the next option set.
 		d = NewDoc("a")

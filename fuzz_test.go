@@ -91,46 +91,36 @@ func FuzzDocSaveLoadRoundTrip(f *testing.F) {
 		}
 		// Round-trip through every persistence mode — both the compact
 		// columnar format (the default) and the legacy one.
-		for _, opts := range []egwalker.SaveOptions{
-			{},
-			{CacheFinalDoc: true},
-			{Compress: true},
-			{CacheFinalDoc: true, Compress: true},
-			{Legacy: true},
-			{Legacy: true, CacheFinalDoc: true},
-			{Legacy: true, Compress: true},
-			{Legacy: true, CacheFinalDoc: true, Compress: true},
-			{OmitDeletedContent: true, CacheFinalDoc: true},
-		} {
+		for _, mode := range egwalker.SaveModes {
 			var buf bytes.Buffer
-			if err := a.Save(&buf, opts); err != nil {
-				t.Fatalf("save %+v: %v", opts, err)
+			if err := mode.Save(a, &buf); err != nil {
+				t.Fatalf("save %+v: %v", mode, err)
 			}
 			loaded, err := egwalker.Load(bytes.NewReader(buf.Bytes()), "loader")
 			if err != nil {
-				t.Fatalf("load %+v: %v", opts, err)
+				t.Fatalf("load %+v: %v", mode, err)
 			}
 			if loaded.Text() != a.Text() {
-				t.Fatalf("save/load %+v changed text: %q -> %q", opts, a.Text(), loaded.Text())
+				t.Fatalf("save/load %+v changed text: %q -> %q", mode, a.Text(), loaded.Text())
 			}
 			if loaded.NumEvents() != a.NumEvents() {
-				t.Fatalf("save/load %+v changed event count: %d -> %d", opts, a.NumEvents(), loaded.NumEvents())
+				t.Fatalf("save/load %+v changed event count: %d -> %d", mode, a.NumEvents(), loaded.NumEvents())
 			}
 			if loaded.Fingerprint() != a.Fingerprint() {
-				t.Fatalf("save/load %+v changed fingerprint", opts)
+				t.Fatalf("save/load %+v changed fingerprint", mode)
 			}
 			// A second generation must be byte-stable: saving the loaded
 			// doc with the same options yields a decodable, equivalent file.
 			var buf2 bytes.Buffer
-			if err := loaded.Save(&buf2, opts); err != nil {
-				t.Fatalf("re-save %+v: %v", opts, err)
+			if err := mode.Save(loaded, &buf2); err != nil {
+				t.Fatalf("re-save %+v: %v", mode, err)
 			}
 			reloaded, err := egwalker.Load(bytes.NewReader(buf2.Bytes()), "loader2")
 			if err != nil {
-				t.Fatalf("re-load %+v: %v", opts, err)
+				t.Fatalf("re-load %+v: %v", mode, err)
 			}
 			if reloaded.Text() != a.Text() {
-				t.Fatalf("second-generation load %+v changed text", opts)
+				t.Fatalf("second-generation load %+v changed text", mode)
 			}
 		}
 		// Columnar-vs-legacy batch codec differential: both encodings of
@@ -171,7 +161,7 @@ func FuzzDocSaveLoadRoundTrip(f *testing.F) {
 		// must all agree, and the span stream must expand to exactly the
 		// per-unit stream.
 		var hist bytes.Buffer
-		if err := a.Save(&hist, egwalker.SaveOptions{Legacy: true}); err != nil {
+		if err := (egwalker.SaveMode{EGW1: true}).Save(a, &hist); err != nil {
 			t.Fatal(err)
 		}
 		dec, err := encoding.Decode(hist.Bytes())

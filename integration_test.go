@@ -74,24 +74,17 @@ func TestEndToEndTraces(t *testing.T) {
 			}
 
 			// Persistence in every mode.
-			for _, opts := range []egwalker.SaveOptions{
-				{},
-				{CacheFinalDoc: true},
-				{CacheFinalDoc: true, Compress: true},
-				{Legacy: true},
-				{Legacy: true, CacheFinalDoc: true, Compress: true},
-				{OmitDeletedContent: true, CacheFinalDoc: true},
-			} {
+			for _, mode := range egwalker.SaveModes {
 				var buf bytes.Buffer
-				if err := d.Save(&buf, opts); err != nil {
-					t.Fatalf("save %+v: %v", opts, err)
+				if err := mode.Save(d, &buf); err != nil {
+					t.Fatalf("save %+v: %v", mode, err)
 				}
 				loaded, err := egwalker.Load(&buf, "loader")
 				if err != nil {
-					t.Fatalf("load %+v: %v", opts, err)
+					t.Fatalf("load %+v: %v", mode, err)
 				}
 				if loaded.Text() != want {
-					t.Fatalf("load %+v: text differs", opts)
+					t.Fatalf("load %+v: text differs", mode)
 				}
 			}
 

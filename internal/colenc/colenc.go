@@ -473,7 +473,7 @@ func DecodeLimit(data []byte, maxEvents int) (*Decoded, error) {
 // bytes) may legitimately cover many events, but letting the event
 // count exceed body-bytes × maxRunLen would allow a tiny frame to
 // declare an absurd count. 2^16 matches the largest batch bounded
-// writers produce (egwalker.MaxEventsPerBlock).
+// writers produce (the count netsync.MarshalChunksCompact cuts at).
 const maxRunLen = 1 << 16
 
 // agentTable resolves event index → ID without materialising n IDs up

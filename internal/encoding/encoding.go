@@ -1,9 +1,9 @@
 // Package encoding implements the legacy "EGW1" whole-document on-disk
 // format (paper §3.8). New files default to internal/colenc's "EGC2"
 // batch format (see docs/FORMAT.md); this package remains the reader
-// for existing files and the only writer of the pruned
-// (deleted-content-omitted) variant, selected via SaveOptions.Legacy /
-// OmitDeletedContent. Different properties of the events are stored in
+// for existing files and the writer of the pruned
+// (deleted-content-omitted) variant, selected via
+// SaveOptions.OmitDeletedContent. Different properties of the events are stored in
 // separate run-length encoded byte columns, exploiting typical editing
 // patterns (consecutive insertions/deletions, long linear graph runs,
 // long runs of events by the same agent):

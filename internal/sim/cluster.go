@@ -267,6 +267,7 @@ type clusterClient struct {
 	mu  sync.Mutex
 	doc *egwalker.Doc
 
+	readers    sync.WaitGroup // live connections' fan-out readers
 	reconnects int
 }
 
@@ -294,7 +295,9 @@ func (cc *clusterClient) connect() (*cluster.Conn, error) {
 	}
 	// Reader: apply whatever the cluster fans out for as long as this
 	// connection lives.
+	cc.readers.Add(1)
 	go func() {
+		defer cc.readers.Done()
 		for {
 			f, err := conn.Peer.RecvFrame()
 			if err != nil {
@@ -502,12 +505,18 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	// read it was never accepted by anyone, and only the client that
 	// authored it can re-supply it. The connections then stay open so
 	// the fan-out brings each client the rest of the union.
+	var resync []*cluster.Conn
+	defer func() {
+		for _, conn := range resync {
+			conn.Close()
+		}
+	}()
 	for i, cc := range clients {
 		conn, err := cc.connectRetry()
 		if err != nil {
 			return ClusterResult{}, fmt.Errorf("sim: client %d resync: %w", i, err)
 		}
-		defer conn.Close()
+		resync = append(resync, conn)
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
@@ -554,6 +563,15 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			return ClusterResult{}, err
 		}
 		reconnects += cc.reconnects
+	}
+	// Quiesce before the oracle reads the replicas: close the live
+	// connections and wait until no reader can still apply a late
+	// (duplicate) frame.
+	for _, conn := range resync {
+		conn.Close()
+	}
+	for _, cc := range clients {
+		cc.readers.Wait()
 	}
 	docs := []*egwalker.Doc{ref}
 	for _, cc := range clients {

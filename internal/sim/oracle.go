@@ -8,6 +8,7 @@ import (
 	"egwalker"
 	"egwalker/internal/causal"
 	"egwalker/internal/core"
+	"egwalker/internal/encoding"
 	"egwalker/internal/listcrdt"
 	"egwalker/internal/oplog"
 )
@@ -220,33 +221,47 @@ func CheckColencRoundTrip(d *egwalker.Doc) error {
 }
 
 // CheckSaveLoad round-trips d through every persistence mode — the
-// compact columnar default, the legacy format, and the option
-// variants of each.
+// compact columnar default and its option variants, the pruned save,
+// and the legacy "EGW1" writer (internal/encoding) that files older
+// than the columnar format were written by.
 func CheckSaveLoad(d *egwalker.Doc) error {
 	want := d.Text()
-	for _, opts := range []egwalker.SaveOptions{
+	l, err := logFromEvents(d.Events())
+	if err != nil {
+		return err
+	}
+	type mode struct {
+		opts egwalker.SaveOptions
+		egw1 bool
+	}
+	for _, m := range []mode{
 		{},
-		{CacheFinalDoc: true},
-		{Compress: true},
-		{CacheFinalDoc: true, Compress: true},
-		{Legacy: true},
-		{Legacy: true, CacheFinalDoc: true},
-		{OmitDeletedContent: true, CacheFinalDoc: true},
+		{opts: egwalker.SaveOptions{CacheFinalDoc: true}},
+		{opts: egwalker.SaveOptions{Compress: true}},
+		{opts: egwalker.SaveOptions{CacheFinalDoc: true, Compress: true}},
+		{opts: egwalker.SaveOptions{OmitDeletedContent: true, CacheFinalDoc: true}},
+		{egw1: true},
+		{egw1: true, opts: egwalker.SaveOptions{CacheFinalDoc: true}},
 	} {
 		var buf bytes.Buffer
-		if err := d.Save(&buf, opts); err != nil {
-			return fmt.Errorf("oracle: save %+v: %w", opts, err)
+		if m.egw1 {
+			err = encoding.Encode(&buf, l, encoding.Options{CacheFinalDoc: m.opts.CacheFinalDoc}, want, nil)
+		} else {
+			err = d.Save(&buf, m.opts)
+		}
+		if err != nil {
+			return fmt.Errorf("oracle: save %+v: %w", m, err)
 		}
 		loaded, err := egwalker.Load(&buf, "oracle-loader")
 		if err != nil {
-			return fmt.Errorf("oracle: load %+v: %w", opts, err)
+			return fmt.Errorf("oracle: load %+v: %w", m, err)
 		}
 		if loaded.Text() != want {
-			return fmt.Errorf("oracle: save/load %+v changed the text", opts)
+			return fmt.Errorf("oracle: save/load %+v changed the text", m)
 		}
 		if loaded.NumEvents() != d.NumEvents() {
 			return fmt.Errorf("oracle: save/load %+v changed event count: %d != %d",
-				opts, loaded.NumEvents(), d.NumEvents())
+				m, loaded.NumEvents(), d.NumEvents())
 		}
 	}
 	return nil

@@ -159,12 +159,12 @@ func TestMarshalChunksOversizedSingleEvent(t *testing.T) {
 // into multiple frames and reassemble losslessly on the other side.
 func TestChunkedEventsSend(t *testing.T) {
 	src := egwalker.NewDoc("bulk")
-	text := strings.Repeat("0123456789abcdef", (egwalker.MaxEventsPerBlock+100)/16+1)
+	text := strings.Repeat("0123456789abcdef", (maxEventsPerBlock+100)/16+1)
 	if err := src.Insert(0, text); err != nil {
 		t.Fatal(err)
 	}
 	events := src.Events()
-	if len(events) <= egwalker.MaxEventsPerBlock {
+	if len(events) <= maxEventsPerBlock {
 		t.Fatalf("test batch too small: %d events", len(events))
 	}
 	var buf bytes.Buffer

@@ -63,8 +63,16 @@ const (
 // maxFrame bounds a single frame's payload. The cap is checked before
 // any allocation, so a corrupt or hostile peer advertising a huge
 // length prefix cannot trigger an unbounded allocation. Event batches
-// larger than this are split (see writeEventsChunked).
-const maxFrame = 16 << 20
+// larger than this are split (see MarshalChunksCompact). It is the
+// delta-block payload cap, so one WAL block is one frame and vice
+// versa.
+const maxFrame = egwalker.MaxDeltaPayload
+
+// maxEventsPerBlock is the event count MarshalChunksCompact cuts a
+// batch at before checking bytes, so one frame (or WAL block) stays far
+// below maxFrame: 64k single-character events encode to well under
+// 1 MiB.
+const maxEventsPerBlock = 1 << 16
 
 // maxDocID bounds the document ID in a doc-hello frame.
 const maxDocID = 4096
@@ -120,17 +128,11 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 // independently; within one batch later chunks may reference earlier
 // chunks' events as external parents, which Apply resolves (they are
 // already admitted by the time the later chunk arrives).
+//
+// An empty batch still writes one frame: receivers treat the first
+// events frame as the snapshot/anti-entropy payload even when there is
+// nothing to send.
 func writeEventsChunked(w io.Writer, events []egwalker.Event) error {
-	if len(events) == 0 {
-		// Always emit at least one frame: receivers treat the first
-		// events frame as the snapshot/anti-entropy payload even when
-		// there is nothing to send.
-		batch, err := egwalker.MarshalEventsCompact(nil)
-		if err != nil {
-			return err
-		}
-		return writeFrame(w, msgEvents, batch)
-	}
 	batches, err := MarshalChunksCompact(events)
 	if err != nil {
 		return err
@@ -147,10 +149,13 @@ func writeEventsChunked(w io.Writer, events []egwalker.Event) error {
 // encoding (docs/FORMAT.md) as one or more frame-sized payloads: split
 // by event count first, then — for pathological event sizes (maximal
 // agent names, very wide frontiers) — by halving until each payload
-// fits under the frame cap. Multi-document hosts use it to build
-// fan-out payloads. A single event whose encoding alone exceeds the
-// cap is an error (nothing can carry it), never an over-cap chunk or
-// an unbounded split.
+// fits under the frame cap. It is the one splitter: fan-out, catch-up
+// frames and the store's WAL blocks are all cut by it. Causal order is
+// preserved, so each payload is itself a valid batch — later ones
+// reference earlier ones' events as external parents, which Apply
+// resolves because they are admitted first. A single event whose
+// encoding alone exceeds the cap is an error (nothing can carry it),
+// never an over-cap chunk or an unbounded split.
 func MarshalChunksCompact(events []egwalker.Event) ([][]byte, error) {
 	return marshalChunks(events, maxFrame)
 }
@@ -178,8 +183,9 @@ func marshalChunks(events []egwalker.Event, limit int) ([][]byte, error) {
 		out = append(out, batch)
 		return nil
 	}
-	for _, chunk := range egwalker.ChunkEvents(events) {
-		if err := emit(chunk); err != nil {
+	// An empty batch still yields one (empty) payload.
+	for off := 0; off == 0 || off < len(events); off += maxEventsPerBlock {
+		if err := emit(events[off:min(off+maxEventsPerBlock, len(events))]); err != nil {
 			return nil, err
 		}
 	}

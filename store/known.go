@@ -82,14 +82,7 @@ func (s *idSet) has(id egwalker.EventID) bool {
 	return i < len(runs) && runs[i].start <= id.Seq
 }
 
-// addBatch adds every ID run of an inspected batch.
-func (s *idSet) addBatch(info *egwalker.BatchInfo) {
-	for _, r := range info.Runs {
-		s.addRun(r.Agent, r.Seq, r.Len)
-	}
-}
-
-// addEvents adds decoded events (the legacy-payload path).
+// addEvents adds the IDs of decoded events.
 func (s *idSet) addEvents(events []egwalker.Event) {
 	for _, ev := range events {
 		s.addRun(ev.ID.Agent, ev.ID.Seq, 1)

@@ -77,8 +77,8 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 	raws, events := singleEventFrames(t, n)
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	// ~10 bytes per single-event legacy frame: 300 frames (~3 KB) blow
-	// a 2 KB budget around frame 200; the coalesced batch is far
+	// ~50 bytes per single-event columnar frame: 300 frames (~15 KB)
+	// blow a 2 KB budget around frame 40; the coalesced batch is far
 	// smaller, so every push must be accepted.
 	o := newOutbox(2048, 0, &global, &coalesced)
 	for i := range raws {
@@ -412,7 +412,7 @@ func TestFanoutThousandSubscribersBounded(t *testing.T) {
 // eventually severed when even the coalesced backlog overruns its byte
 // budget, and then reconverges with an incremental resume.
 func TestSlowReaderCoalesceThenResume(t *testing.T) {
-	// 128 bytes: a dozen queued single-event legacy frames (~10 bytes
+	// 128 bytes: a few queued single-event columnar frames (~50 bytes
 	// each) trigger coalescing, and a dead-stopped compact backlog
 	// overflows once even the coalesced batch passes the budget.
 	srv := newTestServer(t, ServerOptions{FlushInterval: time.Millisecond, OutboxBytesPerPeer: 128})

@@ -473,7 +473,7 @@ func (s *DocStore) rebuildLocked() error {
 	if err != nil {
 		return err
 	}
-	err = s.doc.Save(f, s.opts.Save)
+	err = s.doc.Save(f, egwalker.SaveOptions{CacheFinalDoc: true})
 	if err == nil {
 		err = f.Sync()
 	}

@@ -350,9 +350,33 @@ func (s *Server) acquire(docID string) (*entry, error) {
 	return e, nil
 }
 
-func (s *Server) release(e *entry) {
+func (s *Server) release(e *entry) { s.releaseAll([]*entry{e}) }
+
+// pinOpen pins every open entry (skipping ones still opening) so a
+// background sweep can visit them outside s.mu. Pair with releaseAll.
+func (s *Server) pinOpen() []*entry {
 	s.mu.Lock()
-	e.refs--
+	defer s.mu.Unlock()
+	pinned := make([]*entry, 0, len(s.open))
+	for _, e := range s.open {
+		if e.ds == nil {
+			continue // still opening
+		}
+		e.refs++
+		pinned = append(pinned, e)
+	}
+	return pinned
+}
+
+// releaseAll drops one pin from each entry under a single s.mu hold
+// and runs eviction once. Releasing a sweep's pins one by one would
+// rescan the whole LRU per entry while the materialized population is
+// over MaxOpenDocs — quadratic per flush tick.
+func (s *Server) releaseAll(es []*entry) {
+	s.mu.Lock()
+	for _, e := range es {
+		e.refs--
+	}
 	demat, victims := s.evictLocked()
 	s.mu.Unlock()
 	s.applyEvictions(demat, victims)
@@ -408,6 +432,7 @@ func (s *Server) applyEvictions(demat []*entry, victims []*DocStore) {
 	for _, ds := range victims {
 		ds.Close()
 	}
+	done := demat[:0]
 	for _, e := range demat {
 		if err := e.ds.Dematerialize(); err != nil {
 			s.mu.Lock()
@@ -425,7 +450,10 @@ func (s *Server) applyEvictions(demat []*entry, victims []*DocStore) {
 			s.mu.Unlock()
 			continue
 		}
-		s.release(e) // may demat/close the next-colder entry
+		done = append(done, e)
+	}
+	if len(done) > 0 {
+		s.releaseAll(done) // may demat/close the next-colder entries
 	}
 }
 
@@ -800,10 +828,24 @@ func (s *Server) ServeHello(conn io.ReadWriter, h netsync.Hello) error {
 		if done {
 			return nil
 		}
+		if err := checkColumnar(h.DocID, raw); err != nil {
+			return err
+		}
 		if err := e.ingest(events, raw, plan.id, false); err != nil {
 			return err
 		}
 	}
+}
+
+// checkColumnar refuses an uploaded events frame whose payload is not
+// a columnar batch. Fan-out and the WAL carry an upload's bytes
+// verbatim, so admitting a legacy payload would journal it and push
+// the retired encoding to every other subscriber.
+func checkColumnar(docID string, raw []byte) error {
+	if egwalker.IsCompactBatch(raw) {
+		return nil
+	}
+	return fmt.Errorf("store: %q: events frame is not a columnar batch", docID)
 }
 
 // streamCatchup sends a block cut's frames to a joining peer,
@@ -860,6 +902,9 @@ func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 		}
 		switch f.Kind {
 		case netsync.FrameEvents:
+			if err := checkColumnar(h.DocID, f.Raw); err != nil {
+				return err
+			}
 			if err := e.ingest(f.Events, f.Raw, -1, true); err != nil {
 				return err
 			}
@@ -1126,37 +1171,19 @@ func (s *Server) flusher() {
 // sampleOutboxes records every live subscriber's outbox depth, so
 // queues that are deep but quiescent still show up in OutboxDepth.
 func (s *Server) sampleOutboxes() {
-	s.mu.Lock()
-	entries := make([]*entry, 0, len(s.open))
-	for _, e := range s.open {
-		if e.ds == nil {
-			continue // still opening
-		}
-		e.refs++
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-	for _, e := range entries {
+	pinned := s.pinOpen()
+	for _, e := range pinned {
 		e.mu.Lock()
 		for _, p := range e.peers {
 			s.metrics.OutboxDepth.Observe(int64(p.ob.depth()))
 		}
 		e.mu.Unlock()
-		s.release(e)
 	}
+	s.releaseAll(pinned)
 }
 
 func (s *Server) flushOnce() {
-	s.mu.Lock()
-	var pinned []*entry
-	for _, e := range s.open {
-		if e.ds == nil {
-			continue // still opening
-		}
-		e.refs++
-		pinned = append(pinned, e)
-	}
-	s.mu.Unlock()
+	pinned := s.pinOpen()
 	for _, e := range pinned {
 		// A failed fsync turns the DocStore fail-stop (sticky write
 		// error); surface it here too so the operator learns before the
@@ -1181,8 +1208,8 @@ func (s *Server) flushOnce() {
 		if s.opts.SnapshotEvery > 0 && e.ds.UnsnapshottedEvents() >= s.opts.SnapshotEvery {
 			s.scheduleCompact(e) // takes its own pin
 		}
-		s.release(e)
 	}
+	s.releaseAll(pinned)
 }
 
 // scheduleCompact hands a document to the background compactor, at

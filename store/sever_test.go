@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,6 +50,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	aDone := make(chan error, 1)
+	var aSeen atomic.Int64 // events A has applied
 	go func() {
 		for adoc.NumEvents() < totalEvents {
 			evs, _, done, err := apc.Recv()
@@ -60,6 +62,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 				aDone <- err
 				return
 			}
+			aSeen.Store(int64(adoc.NumEvents()))
 		}
 		aDone <- nil
 	}()
@@ -79,17 +82,34 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	if _, _, _, err := cpc.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	// C writes in two phases: stallAt events while B drains, then —
-	// only once B has gone silent — the rest. The pause makes the
-	// sever deterministic: without it C could finish before B stalls,
-	// and a backlog that stops growing never overflows the budget
-	// (severing happens on push).
+	// C writes in three phases: stallAt events while B drains; once B
+	// has gone silent, one more; and — only once B's writer has taken
+	// that one off its queue — the rest. The pauses make the sever
+	// deterministic: without the first, C could finish before B
+	// stalls, and a backlog that stops growing never overflows the
+	// budget (severing happens on push); without the second, a writer
+	// scheduled late could drain much of the backlog into its blocked
+	// send, where it no longer counts against the budget.
 	bStalled := make(chan struct{})
+	bWriterBlocked := make(chan struct{})
 	cErr := make(chan error, 1)
 	go func() {
 		for i := 0; i < totalEvents; i++ {
-			if i == stallAt {
+			switch i {
+			case stallAt:
 				<-bStalled
+			case stallAt + 1:
+				<-bWriterBlocked
+			}
+			// Lockstep with A: the healthy peer is prompt by
+			// construction, so only B's backlog grows, however the
+			// goroutines are scheduled on a loaded machine.
+			for deadline := time.Now().Add(5 * time.Second); aSeen.Load() < int64(i); {
+				if time.Now().After(deadline) {
+					cErr <- fmt.Errorf("healthy peer stuck at %d of %d events", aSeen.Load(), i)
+					return
+				}
+				time.Sleep(50 * time.Microsecond)
 			}
 			evs := []egwalker.Event{{
 				ID:      egwalker.EventID{Agent: fmt.Sprintf("typist-%04d", i)},
@@ -121,6 +141,17 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 		}
 	}
 	close(bStalled)
+	// C's next batch is fanned out under the entry lock, after
+	// BatchesApplied counts it. Once every outbox is empty again, B's
+	// writer holds that frame in a send B will never read.
+	waitFor := time.Now().Add(5 * time.Second)
+	for !outboxesDrained(srv, docID, stallAt+1) {
+		if time.Now().After(waitFor) {
+			t.Fatal("B's writer never took the first post-stall frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(bWriterBlocked)
 
 	if err := <-cErr; err != nil {
 		t.Fatalf("writer: %v", err)
@@ -177,4 +208,23 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	if bdoc.Text() != cdoc.Text() {
 		t.Fatal("severed peer failed to reconverge")
 	}
+}
+
+// outboxesDrained reports whether the server has fanned out at least
+// batches uploads on docID and every subscriber's outbox is empty.
+func outboxesDrained(srv *Server, docID string, batches int64) bool {
+	if srv.MetricsSnapshot().BatchesApplied < batches {
+		return false
+	}
+	srv.mu.Lock()
+	e := srv.open[docID]
+	srv.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, p := range e.peers {
+		if p.ob.depth() > 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -14,17 +14,13 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/netsync"
 )
 
 // ErrLocked reports a document directory already open by another
 // DocStore (usually another process; also a concurrent evicted store
 // whose close has not finished).
 var ErrLocked = errors.New("store: document directory is locked by another store")
-
-// compactWALThreshold is the batch size from which journaled delta
-// blocks switch to the compact columnar payload: below it the columnar
-// header outweighs its run-length savings, above it runs dominate.
-const compactWALThreshold = 8
 
 // Options tune one durable document.
 type Options struct {
@@ -41,9 +37,6 @@ type Options struct {
 	// leave false to let the caller batch fsyncs via Sync (what
 	// Server's group-commit flusher does).
 	SyncEveryCommit bool
-	// Save controls snapshot encoding. CacheFinalDoc is forced on so
-	// cold opens need no replay of the snapshot itself.
-	Save egwalker.SaveOptions
 	// FS is the filesystem the document's data files go through (nil:
 	// the real one). Tests and the fault-injecting simulator substitute
 	// a FaultFS here.
@@ -77,7 +70,6 @@ func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
-	o.Save.CacheFinalDoc = true
 	return o
 }
 
@@ -934,8 +926,9 @@ func (s *DocStore) IngestBatch(events []egwalker.Event, raw []byte) (int, error)
 // journalAppendLocked admits a batch in journal-only mode: every event
 // must be a duplicate or have all parents in the known set (or earlier
 // in the batch — uploads arrive in causal order). Fully duplicate
-// batches journal nothing. The raw payload is preferred verbatim; a
-// nil or uncappable raw is re-encoded from the decoded events.
+// batches journal nothing. A columnar raw payload is journaled
+// verbatim; a nil, legacy or uncappable raw is re-encoded from the
+// decoded events.
 func (s *DocStore) journalAppendLocked(events []egwalker.Event, raw []byte) (int, error) {
 	fresh := 0
 	var batch map[egwalker.EventID]bool
@@ -957,20 +950,15 @@ func (s *DocStore) journalAppendLocked(events []egwalker.Event, raw []byte) (int
 		return 0, nil
 	}
 	var blocks [][]byte
-	if raw != nil {
+	if egwalker.IsCompactBatch(raw) {
 		if block, err := egwalker.WrapDeltaPayload(raw); err == nil {
 			blocks = [][]byte{block}
 		}
 	}
 	if blocks == nil {
 		var err error
-		if len(events) >= compactWALThreshold {
-			blocks, err = egwalker.DeltaBlocksCompact(events)
-		} else {
-			blocks, err = egwalker.DeltaBlocks(events)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("store: encoding WAL batch: %w", err)
+		if blocks, err = walBlocks(events); err != nil {
+			return 0, err
 		}
 	}
 	if err := s.appendBlocksLocked(blocks); err != nil {
@@ -1016,27 +1004,34 @@ func (s *DocStore) commitLocked() error {
 		return nil
 	}
 	// Encode first: a batch the codec rejects writes no bytes and does
-	// not poison the store. DeltaBlocks splits by count and, for
-	// pathological event sizes, by bytes, so a legal batch always
-	// encodes. Batches worth run-length-encoding go out as compact
-	// columnar blocks (ReadDelta sniffs per payload, so legacy and
-	// compact blocks interleave freely within a segment); tiny
-	// group commits stay on the legacy codec, whose fixed overhead is
-	// a few bytes rather than the columnar header's ~20.
-	var blocks [][]byte
-	if len(evs) >= compactWALThreshold {
-		blocks, err = egwalker.DeltaBlocksCompact(evs)
-	} else {
-		blocks, err = egwalker.DeltaBlocks(evs)
-	}
+	// not poison the store.
+	blocks, err := walBlocks(evs)
 	if err != nil {
-		return fmt.Errorf("store: encoding WAL batch: %w", err)
+		return err
 	}
 	if err := s.appendBlocksLocked(blocks); err != nil {
 		return err
 	}
 	s.persisted = s.doc.Version()
 	return s.afterAppendLocked(len(evs))
+}
+
+// walBlocks encodes a batch as columnar WAL blocks, cut by the same
+// splitter as network frames (by count, then by bytes for
+// pathological event sizes), so a legal batch always encodes and one
+// block is always one frame. Pure: nothing is written when it fails.
+func walBlocks(events []egwalker.Event) ([][]byte, error) {
+	payloads, err := netsync.MarshalChunksCompact(events)
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding WAL batch: %w", err)
+	}
+	blocks := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		if blocks[i], err = egwalker.WrapDeltaPayload(p); err != nil {
+			return nil, fmt.Errorf("store: encoding WAL batch: %w", err)
+		}
+	}
+	return blocks, nil
 }
 
 // appendBlocksLocked writes encoded delta blocks to the active
@@ -1152,7 +1147,7 @@ func (s *DocStore) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	err = s.doc.Save(f, s.opts.Save)
+	err = s.doc.Save(f, egwalker.SaveOptions{CacheFinalDoc: true})
 	if err == nil {
 		err = f.Sync()
 	}
