@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -301,5 +302,123 @@ func TestRelayChurn(t *testing.T) {
 	}
 	if got := relay.Doc().Text(); got != pusher.Text() {
 		t.Fatalf("relay text %q != pusher text %q", got, pusher.Text())
+	}
+}
+
+// stallConn is the relay's end of a link to a peer that stops reading:
+// once stalled, writes block — as on a TCP connection whose receive
+// window is full — until the connection is closed.
+type stallConn struct {
+	io.ReadWriteCloser
+	stalled atomic.Bool
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	if c.stalled.Load() {
+		<-c.closed
+		return 0, io.ErrClosedPipe
+	}
+	return c.ReadWriteCloser.Write(p)
+}
+
+func (c *stallConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.ReadWriteCloser.Close()
+}
+
+// TestRelaySeversSlowPeer: a peer that never reads is disconnected
+// once its fan-out queue overflows — its Serve ends with an error
+// instead of the relay silently dropping batches it would never
+// recover — and the peers that keep up converge.
+func TestRelaySeversSlowPeer(t *testing.T) {
+	relay := netsync.NewRelay(egwalker.NewDoc("relay"))
+
+	slowEnd, relayEnd := sim.NewLink()
+	sc := &stallConn{ReadWriteCloser: relayEnd, closed: make(chan struct{})}
+	slowErr := make(chan error, 1)
+	go func() { slowErr <- relay.Serve(sc) }()
+	if _, err := netsync.NewClient(egwalker.NewDoc("slow"), slowEnd).Receive(); err != nil {
+		t.Fatal(err)
+	}
+	sc.stalled.Store(true)
+
+	pusherEnd, pusherWG := connect(t, relay)
+	pusher := egwalker.NewDoc("pusher")
+	pusherClient := netsync.NewClient(pusher, pusherEnd)
+	watcherEnd, watcherWG := connect(t, relay)
+	watcher := egwalker.NewDoc("watcher")
+	watcherClient := netsync.NewClient(watcher, watcherEnd)
+	for _, c := range []*netsync.Client{pusherClient, watcherClient} {
+		if _, err := c.Receive(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Well past the slow peer's queue. The watcher keeps up in
+	// lockstep, so only the stalled peer can overflow.
+	const pushes = 400
+	for e := 0; e < pushes; e++ {
+		if err := pushEdit(pusher, pusherClient, "x"); err != nil {
+			t.Fatal(err)
+		}
+		drainUntil(t, watcherClient, watcher, e+1)
+	}
+	select {
+	case err := <-slowErr:
+		if err == nil {
+			t.Fatal("slow peer's Serve ended without an error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("slow peer was never disconnected")
+	}
+
+	for _, c := range []*netsync.Client{pusherClient, watcherClient} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pusherWG.Wait()
+	watcherWG.Wait()
+	if watcher.Text() != pusher.Text() || relay.Doc().Text() != pusher.Text() {
+		t.Fatalf("peers diverged:\nrelay:   %q\npusher:  %q\nwatcher: %q",
+			relay.Doc().Text(), pusher.Text(), watcher.Text())
+	}
+}
+
+// TestRelayRefusesLegacyUpload: the relay forwards upload bytes
+// verbatim, so an events frame in the retired per-event encoding ends
+// the uploader's Serve instead of reaching other peers.
+func TestRelayRefusesLegacyUpload(t *testing.T) {
+	relay := netsync.NewRelay(egwalker.NewDoc("relay"))
+	clientEnd, relayEnd := sim.NewLink()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- relay.Serve(relayEnd) }()
+	pc := netsync.NewPeerConn(clientEnd)
+	if _, _, _, err := pc.Recv(); err != nil { // snapshot
+		t.Fatal(err)
+	}
+	d := egwalker.NewDoc("legacy")
+	if err := d.Insert(0, "old bytes"); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := egwalker.MarshalEvents(d.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pc.SendRaw(legacy); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-serveErr:
+		if err == nil {
+			t.Fatal("legacy upload accepted")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve kept running after a legacy upload")
+	}
+	if n := relay.Doc().NumEvents(); n != 0 {
+		t.Fatalf("relay applied %d events from a legacy upload", n)
 	}
 }

@@ -2,9 +2,11 @@ package netsync
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"egwalker"
 )
@@ -105,14 +107,31 @@ func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 type Relay struct {
 	mu    sync.Mutex
 	doc   *egwalker.Doc
-	peers map[int]chan []byte
+	peers map[int]*relayPeer
 	next  int
 }
+
+// relayPeer is one connected peer's fan-out queue.
+type relayPeer struct {
+	outbox  chan []byte
+	conn    io.ReadWriter
+	severed atomic.Bool
+}
+
+// relayOutboxFrames is how many fan-out frames a peer may have queued
+// before the relay gives up on it: enough to ride out a peer briefly
+// descheduled during a typing burst (one frame per upload), while a
+// peer that has stopped reading is cut off within a few seconds of
+// live editing.
+const relayOutboxFrames = 256
+
+// errSlowPeer ends the Serve of a peer whose outbox overflowed.
+var errSlowPeer = errors.New("netsync: relay: peer fell behind on fan-out and was disconnected")
 
 // NewRelay returns a relay around the given document (which may already
 // contain history).
 func NewRelay(doc *egwalker.Doc) *Relay {
-	return &Relay{doc: doc, peers: make(map[int]chan []byte)}
+	return &Relay{doc: doc, peers: make(map[int]*relayPeer)}
 }
 
 // Doc returns the relay's replica (callers must not mutate it
@@ -122,7 +141,13 @@ func (r *Relay) Doc() *egwalker.Doc {
 }
 
 // Serve handles one peer connection; it returns when the peer
-// disconnects. Run it in its own goroutine per peer.
+// disconnects. Run it in its own goroutine per peer. A peer that does
+// not keep up with fan-out is deregistered and its Serve ends with an
+// error: relay clients run no anti-entropy, so a dropped batch would
+// leave it diverged for good. The connection is closed if it is an
+// io.Closer; otherwise Serve ends at the peer's next frame. Uploads
+// must be columnar batches, because their bytes are forwarded
+// verbatim.
 func (r *Relay) Serve(conn io.ReadWriter) error {
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
@@ -131,8 +156,8 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 	r.mu.Lock()
 	id := r.next
 	r.next++
-	outbox := make(chan []byte, 256)
-	r.peers[id] = outbox
+	p := &relayPeer{outbox: make(chan []byte, relayOutboxFrames), conn: conn}
+	r.peers[id] = p
 	snapshot := r.doc.Events()
 	r.mu.Unlock()
 	// Deregister before closing the outbox: fanout (under mu) may still
@@ -141,7 +166,7 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 		r.mu.Lock()
 		delete(r.peers, id)
 		r.mu.Unlock()
-		close(outbox)
+		close(p.outbox)
 	}()
 
 	if err := writeEventsChunked(bw, snapshot); err != nil {
@@ -154,7 +179,7 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 	// Writer: drain the outbox.
 	writeErr := make(chan error, 1)
 	go func() {
-		for b := range outbox {
+		for b := range p.outbox {
 			if err := writeFrame(bw, msgEvents, b); err != nil {
 				writeErr <- err
 				return
@@ -175,6 +200,9 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 		default:
 		}
 		typ, payload, err := readFrame(br)
+		if p.severed.Load() {
+			return errSlowPeer
+		}
 		if err != nil {
 			if err == io.EOF {
 				return nil
@@ -183,27 +211,15 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 		}
 		switch typ {
 		case msgEvents:
+			if !egwalker.IsCompactBatch(payload) {
+				return fmt.Errorf("netsync: relay: events frame is not a columnar batch")
+			}
 			events, err := Unmarshal(payload)
 			if err != nil {
 				return err
 			}
-			r.mu.Lock()
-			_, applyErr := r.doc.Apply(events)
-			if applyErr == nil {
-				for pid, ch := range r.peers {
-					if pid == id {
-						continue
-					}
-					select {
-					case ch <- payload:
-					default:
-						// Slow peer: drop; it will catch up via Sync.
-					}
-				}
-			}
-			r.mu.Unlock()
-			if applyErr != nil {
-				return applyErr
+			if err := r.apply(id, events, payload); err != nil {
+				return err
 			}
 		case msgDone:
 			return nil
@@ -211,6 +227,36 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 			return fmt.Errorf("netsync: relay: unexpected frame type %#x", typ)
 		}
 	}
+}
+
+// apply merges a batch uploaded by peer from and queues its bytes for
+// every other peer, severing any whose outbox is full.
+func (r *Relay) apply(from int, events []egwalker.Event, payload []byte) error {
+	var slow []*relayPeer
+	r.mu.Lock()
+	_, err := r.doc.Apply(events)
+	if err == nil {
+		for pid, p := range r.peers {
+			if pid == from {
+				continue
+			}
+			select {
+			case p.outbox <- payload:
+			default:
+				delete(r.peers, pid)
+				p.severed.Store(true)
+				slow = append(slow, p)
+			}
+		}
+	}
+	r.mu.Unlock()
+	for _, p := range slow {
+		// Unblock the peer's reader and any write stalled on it.
+		if c, ok := p.conn.(io.Closer); ok {
+			c.Close()
+		}
+	}
+	return err
 }
 
 // PeerConn is the frame-level view of one replication connection. It

@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"egwalker"
@@ -38,11 +36,12 @@ func validSegment(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzSegmentReplay: replaySegment must never panic on arbitrary
-// bytes, must accept what it reports as valid (applying the recovered
-// batches to a fresh doc), and truncating a segment at its reported
-// validLen must replay to the same state (the torn-tail repair is a
-// fixed point).
+// FuzzSegmentReplay: the segment reader materialization uses
+// (walkSegmentBlocks decoding through applySegment) must never panic
+// on arbitrary bytes, must report a validLen within the data, and
+// truncating a segment at its reported validLen must replay to the
+// same state with no tail left (the torn-tail repair is a fixed
+// point).
 func FuzzSegmentReplay(f *testing.F) {
 	good := validSegment(f)
 	f.Add(good)
@@ -51,61 +50,38 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add([]byte{'E', 'G', 'W', 'S', segVersion}) // header only
 	f.Add([]byte("not a segment at all"))
 
-	replayTo := func(t *testing.T, path string) (string, int64, bool) {
-		res, err := replaySegment(OSFS{}, path)
-		if err != nil {
-			return "", 0, false
-		}
-		doc := egwalker.NewDoc("fuzz")
-		for _, evs := range res.batches {
-			if _, err := doc.Apply(evs); err != nil {
-				// Checksummed but structurally hostile events (e.g.
-				// positions out of range) are rejected by Apply; that is
-				// the correct outcome, not a replay.
-				return "", 0, false
-			}
-		}
-		return doc.Text(), res.validLen, true
-	}
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "wal-00000001.seg")
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Skip()
-		}
-		text, validLen, ok := replayTo(t, path)
-		if !ok {
+		doc := egwalker.NewDoc("fuzz")
+		w, err := applySegment(doc, data)
+		if err != nil {
+			// Not a segment, or a checksummed block that is structurally
+			// hostile (undecodable, or rejected by Apply): refusing it is
+			// the correct outcome, not a replay.
 			return
 		}
-		if validLen > int64(len(data)) {
-			t.Fatalf("validLen %d > file size %d", validLen, len(data))
+		if w.validLen > int64(len(data)) {
+			t.Fatalf("validLen %d > segment size %d", w.validLen, len(data))
 		}
-		if validLen < segHeaderLen {
+		if w.validLen < segHeaderLen {
 			// Segment torn inside its header: recovery recreates it
 			// rather than truncating; nothing further to check here.
 			return
 		}
-		// Repair fixed point: truncating to validLen must replay to the
-		// identical state with no remaining tail error.
-		if err := os.Truncate(path, validLen); err != nil {
-			t.Fatal(err)
-		}
-		res2, err := replaySegment(OSFS{}, path)
+		// Repair fixed point: the prefix up to validLen must replay to
+		// the identical state with no remaining tail error.
+		re := egwalker.NewDoc("fuzz")
+		w2, err := applySegment(re, data[:w.validLen])
 		if err != nil {
 			t.Fatalf("replay after truncation to validLen failed: %v", err)
 		}
-		if res2.tail != nil {
-			t.Fatalf("tail error survived truncation to validLen: %v", res2.tail)
+		if w2.tail != nil {
+			t.Fatalf("tail error survived truncation to validLen: %v", w2.tail)
 		}
-		doc := egwalker.NewDoc("fuzz")
-		for _, evs := range res2.batches {
-			if _, err := doc.Apply(evs); err != nil {
-				t.Fatalf("truncated replay rejected events the full replay accepted: %v", err)
-			}
+		if w2.validLen != w.validLen {
+			t.Fatalf("truncated replay ends at %d, want %d", w2.validLen, w.validLen)
 		}
-		if doc.Text() != text {
-			t.Fatalf("truncated replay text %q != original %q", doc.Text(), text)
+		if re.Text() != doc.Text() {
+			t.Fatalf("truncated replay text %q != original %q", re.Text(), doc.Text())
 		}
 	})
 }

@@ -74,3 +74,28 @@ func TestServerMetricsObserveTraffic(t *testing.T) {
 		t.Fatalf("JSON round-trip lost data: %+v", back)
 	}
 }
+
+// TestFlushOnceTimesOnlyIssuedFsyncs: the group-commit flusher visits
+// every open document each tick, but only a document with unsynced
+// appends costs an fsync, and only those are timed.
+func TestFlushOnceTimesOnlyIssuedFsyncs(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{FlushInterval: time.Hour})
+	for i := 0; i < 50; i++ {
+		if err := srv.With(fmt.Sprintf("idle-%02d", i), func(*DocStore) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		srv.flushOnce()
+	}
+	if n := srv.MetricsSnapshot().FsyncNs.Count; n != 0 {
+		t.Fatalf("50 idle documents over 5 ticks recorded %d fsyncs, want 0", n)
+	}
+	if err := srv.With("idle-00", func(ds *DocStore) error { return ds.Insert(0, "x") }); err != nil {
+		t.Fatal(err)
+	}
+	srv.flushOnce()
+	if n := srv.MetricsSnapshot().FsyncNs.Count; n != 1 {
+		t.Fatalf("one append then one tick recorded %d fsyncs, want 1", n)
+	}
+}

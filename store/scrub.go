@@ -297,9 +297,10 @@ func (s *DocStore) quarantineLocked(reason error) {
 	}
 }
 
-// recoverQuarantined is the open-time quarantine path: materialized
-// recovery found damage truncation cannot repair, and Options.
-// Quarantine asked for a salvaged read-only store instead of an error.
+// recoverQuarantined is the open-time quarantine path: the journal
+// scan or the materialization after it found damage truncation cannot
+// repair, and Options.Quarantine asked for a salvaged read-only store
+// instead of an error.
 // No active segment is opened — a quarantined store journals nothing.
 func (s *DocStore) recoverQuarantined(reason error) error {
 	start := time.Now()
@@ -364,21 +365,26 @@ func salvageDoc(fsys FS, dir, agent string, snaps, segs []uint64) (*egwalker.Doc
 			info.CorruptBlocks++
 			continue
 		}
-		res, err := replaySegmentData(data)
-		if err != nil {
-			// Not recognizably a segment (mangled header): skip it whole.
-			info.CorruptBlocks++
-			info.LostBytes += int64(len(data))
-			continue
-		}
-		for _, evs := range res.batches {
+		w, err := walkSegmentBlocks(data, func(payload []byte) error {
+			evs, err := egwalker.UnmarshalEventsAuto(payload)
+			if err != nil {
+				return err
+			}
 			if _, aerr := doc.Apply(evs); aerr != nil {
 				info.DroppedEvents += len(evs)
 			}
-		}
-		if res.tail != nil {
+			return nil
+		})
+		switch {
+		case w == nil:
+			// Not recognizably a segment (mangled header): skip it whole.
 			info.CorruptBlocks++
-			info.LostBytes += int64(len(data)) - res.validLen
+			info.LostBytes += int64(len(data))
+		case err != nil || w.tail != nil:
+			// Damage, or a checksummed block that does not decode: the
+			// rest of the segment is lost.
+			info.CorruptBlocks++
+			info.LostBytes += int64(len(data)) - w.validLen
 		}
 	}
 	info.DroppedEvents += doc.PendingEvents()

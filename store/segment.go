@@ -11,12 +11,17 @@
 //   - compaction: once a snapshot covers them, sealed segments and
 //     older snapshots are deleted.
 //
-// Crash recovery loads the newest loadable snapshot and replays every
-// surviving WAL segment at or after it. A torn tail — a partial frame
-// left by a crash mid-append — is detected (checksum mismatch or a
-// block cut short, surfacing io.ErrUnexpectedEOF) and truncated away;
-// replay is idempotent because Doc.Apply drops duplicate events, so a
-// snapshot taken mid-segment simply re-skips what it already contains.
+// Recovery is one journal scan. It adopts the newest snapshot whose ID
+// columns inspect cleanly (passing over unreadable ones for older
+// ones), then walks every WAL segment at or after it block by block:
+// each block's checksum is verified and its event IDs and causal
+// references are folded into a known-ID index, without decoding
+// positions or content. A torn tail — a partial frame left by a crash
+// mid-append — is detected (checksum mismatch or a block cut short,
+// surfacing io.ErrUnexpectedEOF) and truncated away. OpenLazy stops
+// there; Open, and any later call that needs the document, materializes
+// it by decoding the same blocks into an egwalker.Doc. Every segment
+// read goes through one reader, walkSegmentBlocks.
 //
 // DocStore is one durable document; Server (server.go) hosts many
 // behind string document IDs with an LRU of materialized docs, batched
@@ -55,79 +60,30 @@ func writeSegmentHeader(f File) error {
 	return err
 }
 
-// replayResult is what scanning one segment yields.
-type replayResult struct {
-	batches [][]egwalker.Event
-	// validLen is the byte offset after the last cleanly parsed block;
-	// everything beyond it failed to parse.
+// blockWalk is what walking a segment's blocks yields.
+type blockWalk struct {
+	// validLen is the byte offset after the last cleanly parsed block.
 	validLen int64
-	// tail is non-nil when parsing stopped before the end of the file:
-	// the reason the remaining bytes are unusable. A torn tail (crash
-	// mid-append) surfaces io.ErrUnexpectedEOF or
+	// tail is non-nil when the walk stopped before the end of the data
+	// on envelope damage: the reason the remaining bytes are unusable.
+	// A torn tail (crash mid-append) surfaces io.ErrUnexpectedEOF or
 	// egwalker.ErrCorruptDelta here.
 	tail error
 }
 
-// replaySegment scans a segment file's delta blocks. It returns an
-// error only for damage that truncation cannot repair (unreadable file,
-// bad magic); per-block damage is reported via replayResult.tail so the
-// caller can decide whether truncating is appropriate.
-func replaySegment(fs FS, path string) (*replayResult, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return replaySegmentData(data)
-}
-
-// replaySegmentData is replaySegment over an already-read byte image.
-func replaySegmentData(data []byte) (*replayResult, error) {
-	if len(data) < segHeaderLen {
-		// Crashing between file creation and header write leaves a short
-		// file; treat as an empty segment with a torn tail.
-		return &replayResult{validLen: 0, tail: fmt.Errorf("store: segment header cut short: %w", io.ErrUnexpectedEOF)}, nil
-	}
-	if string(data[:4]) != string(segMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", errBadSegment, data[:4])
-	}
-	if data[4] != segVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", errBadSegment, data[4])
-	}
-	res := &replayResult{validLen: segHeaderLen}
-	rd := &countingReader{data: data, off: segHeaderLen}
-	for {
-		evs, err := egwalker.ReadDelta(rd)
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			res.tail = err
-			return res, nil
-		}
-		res.batches = append(res.batches, evs)
-		res.validLen = int64(rd.off)
-	}
-}
-
-// blockWalk is what walking a segment's raw blocks yields — the
-// payload-level mirror of replayResult.
-type blockWalk struct {
-	// validLen is the byte offset after the last cleanly parsed block.
-	validLen int64
-	// tail is non-nil when the walk stopped before the end of the data:
-	// the reason the remaining bytes are unusable (same torn-tail
-	// classification as replaySegment).
-	tail error
-}
-
-// walkSegmentBlocks walks a segment byte image's delta-block
-// envelopes, verifying each checksum and handing fn the raw payload —
-// the exact batch bytes a writer journaled, without decoding them.
-// This is the zero-materialization scan: block-serving and journal-
-// only recovery read WAL segments through it. The payload slice
-// aliases data and is only valid during the call. A non-nil error from
-// fn aborts the walk and is returned verbatim; envelope damage is
-// reported via blockWalk.tail instead, so callers share replay's
+// walkSegmentBlocks is the one WAL segment reader. It walks a segment
+// byte image's delta-block envelopes, verifying each checksum and
+// handing fn the raw payload — the exact batch bytes a writer
+// journaled, without decoding them. Recovery scans, block serving and
+// scrubbing use the payloads as they are; materialization and salvage
+// decode them (applySegment). The payload slice aliases data and is
+// only valid during the call.
+//
+// It returns an error only for damage truncation cannot repair: a file
+// that is not a segment (bad magic or version; the walk is nil), or a
+// non-nil error from fn, which stops the walk and is returned verbatim
+// alongside it (validLen then ends before the refused block). Envelope
+// damage is reported via blockWalk.tail instead, for the caller's
 // torn-tail policy.
 func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, error) {
 	if len(data) < segHeaderLen {
@@ -176,7 +132,7 @@ func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, 
 			return w, nil
 		}
 		if err := fn(payload); err != nil {
-			return nil, err
+			return w, err
 		}
 		off = blockEnd
 		w.validLen = int64(off)
@@ -184,36 +140,25 @@ func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, 
 	return w, nil
 }
 
+// applySegment replays a segment byte image into doc. A block with a
+// valid checksum that does not decode or apply stops the replay with
+// an error, never a tail: that is a writer bug or hostile bytes, not a
+// crash, and truncating it away would silently drop history.
+func applySegment(doc *egwalker.Doc, data []byte) (*blockWalk, error) {
+	return walkSegmentBlocks(data, func(payload []byte) error {
+		evs, err := egwalker.UnmarshalEventsAuto(payload)
+		if err == nil {
+			_, err = doc.Apply(evs)
+		}
+		return err
+	})
+}
+
 // blockCRCTable mirrors the delta-block checksum polynomial
 // (CRC32-C, see egwalker's delta encoding).
 var blockCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// countingReader tracks the offset so replay knows where the last good
-// block ended.
-type countingReader struct {
-	data []byte
-	off  int
-}
-
-func (r *countingReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *countingReader) ReadByte() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-// tornTail reports whether a replay stopped for damage of the kind a
+// tornTail reports whether a walk stopped for damage of the kind a
 // crash mid-append (or tail bit rot) produces — a block cut short, a
 // checksum mismatch, a mangled length prefix — which is safe to repair
 // by truncating the *last* segment to validLen. A structurally

@@ -73,7 +73,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// RecoveryInfo reports what Open had to do to bring a document back.
+// RecoveryInfo reports what Open or OpenLazy had to do to bring a
+// document back.
 type RecoveryInfo struct {
 	// SnapshotSeq is the segment seq of the snapshot loaded (0: none,
 	// recovery started from an empty document).
@@ -81,7 +82,8 @@ type RecoveryInfo struct {
 	// SkippedSnapshots counts newer snapshots that were unreadable or
 	// corrupt and were passed over for an older one.
 	SkippedSnapshots int
-	// SegmentsReplayed and EventsReplayed measure the WAL tail replay.
+	// SegmentsReplayed and EventsReplayed measure the WAL tail the
+	// scan walked; EventsReplayed counts each distinct event once.
 	SegmentsReplayed int
 	EventsReplayed   int
 	// TruncatedBytes is how much torn tail was cut from the final
@@ -151,26 +153,41 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// Open materializes (or creates) the document docID under the store
-// root, recovering snapshot + WAL tail from disk. The agent names this
-// replica for future local edits, exactly as in egwalker.Load.
+// Open opens (or creates) the document docID under the store root and
+// materializes it: the journal scan OpenLazy performs, then a replay
+// of the chosen snapshot and the WAL tail into an egwalker.Doc. The
+// agent names this replica for future local edits, exactly as in
+// egwalker.Load.
 func Open(root, docID, agent string, opts Options) (*DocStore, error) {
-	return open(root, docID, agent, opts, false)
+	s, err := open(root, docID, agent, opts)
+	if err != nil {
+		return nil, err
+	}
+	// s is not shared yet, so no lock is needed.
+	if err := s.materializeLocked(); err != nil {
+		if err := s.recoverFailed(err); err != nil {
+			unlockDir(s.lock)
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
-// OpenLazy opens (or creates) the document journal-only when it can:
-// instead of decoding the history into an egwalker.Doc, recovery scans
-// the snapshot's and WAL blocks' ID runs and causal references — a
+// OpenLazy opens (or creates) the document journal-only: instead of
+// decoding the history into an egwalker.Doc, recovery scans the
+// snapshot's and WAL blocks' ID runs and causal references — a
 // fraction of the work and near-zero resident memory per document.
-// Anything the scan cannot vouch for (a legacy-format snapshot, a
-// causal gap, damage beyond a torn tail) falls back to the
-// materialized recovery Open performs. The document materializes
-// lazily on first use of a method that needs it.
+// Only a legacy EGW1 snapshot, which has no ID columns to scan, makes
+// it materialize on open. Otherwise the document materializes lazily
+// on first use of a method that needs it.
 func OpenLazy(root, docID, agent string, opts Options) (*DocStore, error) {
-	return open(root, docID, agent, opts, true)
+	return open(root, docID, agent, opts)
 }
 
-func open(root, docID, agent string, opts Options, lazy bool) (*DocStore, error) {
+// open locks the document directory and recovers it by the journal
+// scan, coming up quarantined instead of failing when the scan finds
+// damage and Options.Quarantine is set.
+func open(root, docID, agent string, opts Options) (*DocStore, error) {
 	opts = opts.withDefaults()
 	dir := filepath.Join(root, escapeDocID(docID))
 	if err := opts.FS.MkdirAll(dir, 0o777); err != nil {
@@ -180,37 +197,30 @@ func open(root, docID, agent string, opts Options, lazy bool) (*DocStore, error)
 	if err != nil {
 		return nil, err
 	}
-	opened := false
-	defer func() {
-		if !opened {
-			unlockDir(lock)
-		}
-	}()
 	s := &DocStore{root: root, dir: dir, docID: docID, agent: agent, opts: opts, fs: opts.FS, lock: lock}
-	if lazy {
-		if err := s.recoverJournal(); err == nil {
-			opened = true
-			return s, nil
-		}
-		// The scan hit something only the full decoder can judge; start
-		// over on the materialized path, which reports real errors
-		// precisely (and can fall past a corrupt newest snapshot).
-		*s = DocStore{root: root, dir: dir, docID: docID, agent: agent, opts: opts, fs: opts.FS, lock: lock}
-	}
-	if err := s.recoverMaterialized(); err != nil {
-		if !opts.Quarantine {
+	if err := s.recoverJournal(); err != nil {
+		if err := s.recoverFailed(err); err != nil {
+			unlockDir(lock)
 			return nil, err
 		}
-		// Sealed history is damaged. Come up quarantined instead of
-		// refusing: salvage what replays cleanly and serve it read-only
-		// until Repair rebuilds the document.
-		*s = DocStore{root: root, dir: dir, docID: docID, agent: agent, opts: opts, fs: opts.FS, lock: lock}
-		if qerr := s.recoverQuarantined(err); qerr != nil {
-			return nil, qerr
-		}
 	}
-	opened = true
 	return s, nil
+}
+
+// recoverFailed handles damage that recovery cannot repair by
+// truncation. By default it is fatal. With Options.Quarantine the store
+// starts over quarantined: it salvages what replays cleanly and serves
+// it read-only until Repair rebuilds the document. Called before the
+// store is shared.
+func (s *DocStore) recoverFailed(reason error) error {
+	if s.active != nil {
+		s.active.Close()
+	}
+	if !s.opts.Quarantine {
+		return reason
+	}
+	*s = DocStore{root: s.root, dir: s.dir, docID: s.docID, agent: s.agent, opts: s.opts, fs: s.fs, lock: s.lock}
+	return s.recoverQuarantined(reason)
 }
 
 // scanDirSeqs lists the document directory's snapshot and segment
@@ -233,102 +243,8 @@ func (s *DocStore) scanDirSeqs() (snaps, segs []uint64, err error) {
 	return snaps, segs, nil
 }
 
-// recoverMaterialized is the classic recovery: load the newest
-// loadable snapshot and replay the WAL tail into an egwalker.Doc.
-func (s *DocStore) recoverMaterialized() error {
-	snaps, segs, err := s.scanDirSeqs()
-	if err != nil {
-		return err
-	}
-
-	// Newest loadable snapshot wins; unreadable ones (torn by a crash
-	// mid-rename, or bit-rotted) are skipped in favour of older ones —
-	// the WAL segments they covered replay the difference.
-	start := time.Now()
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(snaps[i])))
-		if err != nil {
-			s.recovery.SkippedSnapshots++
-			continue
-		}
-		doc, err := egwalker.Load(bytes.NewReader(data), s.agent)
-		if err != nil {
-			s.recovery.SkippedSnapshots++
-			continue
-		}
-		s.doc = doc
-		s.snapSeq = snaps[i]
-		s.recovery.SnapshotSeq = snaps[i]
-		break
-	}
-	if s.doc == nil {
-		s.doc = egwalker.NewDoc(s.agent)
-	}
-
-	// Replay WAL segments the snapshot does not cover, oldest first.
-	lastRemoved := false
-	for i, seq := range segs {
-		if seq < s.snapSeq {
-			continue
-		}
-		path := filepath.Join(s.dir, segName(seq))
-		res, err := replaySegment(s.fs, path)
-		if err != nil {
-			return err
-		}
-		last := i == len(segs)-1
-		if res.tail != nil {
-			if !last || !tornTail(res.tail) {
-				return fmt.Errorf("store: segment %s corrupt: %w", path, res.tail)
-			}
-			// Torn tail from a crash mid-append: cut it off. A segment
-			// torn inside its own header is recreated from scratch — a
-			// headerless file must never be appended to.
-			fi, err := s.fs.Stat(path)
-			if err != nil {
-				return err
-			}
-			s.recovery.TruncatedBytes = fi.Size() - res.validLen
-			if res.validLen < segHeaderLen {
-				if err := s.fs.Remove(path); err != nil {
-					return err
-				}
-				lastRemoved = true
-			} else if err := s.fs.Truncate(path, res.validLen); err != nil {
-				return err
-			}
-		}
-		for _, evs := range res.batches {
-			if _, err := s.doc.Apply(evs); err != nil {
-				return fmt.Errorf("store: replaying %s: %w", path, err)
-			}
-			s.recovery.EventsReplayed += len(evs)
-		}
-		s.recovery.SegmentsReplayed++
-	}
-	if p := s.doc.PendingEvents(); p > 0 {
-		return fmt.Errorf("store: recovery left %d events with missing parents (WAL gap: a segment the snapshot needed is gone)", p)
-	}
-
-	if err := s.openActive(segs, lastRemoved); err != nil {
-		return err
-	}
-	s.persisted = s.doc.Version()
-	s.eventsSinceSnap = s.recovery.EventsReplayed
-	s.sealedSinceSnap = s.recovery.SegmentsReplayed - 1
-	if s.sealedSinceSnap < 0 {
-		s.sealedSinceSnap = 0
-	}
-	s.blockServable = s.snapSeq == 0 || snapshotServable(s.fs, filepath.Join(s.dir, snapName(s.snapSeq)))
-	if s.opts.onMaterialize != nil {
-		s.opts.onMaterialize(time.Since(start))
-	}
-	return nil
-}
-
 // openActive reopens (or creates) the active segment and records the
-// oldest live segment for block streaming. Shared tail of both
-// recovery paths.
+// oldest live segment for block streaming.
 func (s *DocStore) openActive(segs []uint64, lastRemoved bool) error {
 	switch {
 	case len(segs) > 0 && !lastRemoved:
@@ -384,13 +300,16 @@ func snapshotServable(fs FS, path string) bool {
 	return rerr == nil && egwalker.IsCompactBatch(magic[:])
 }
 
-// recoverJournal brings the store up journal-only: it reads the newest
-// snapshot's ID runs and walks every later WAL block's causal
-// structure — egwalker.InspectBatch for compact payloads, a full (but
-// proportional) decode for legacy ones — without ever constructing the
-// document. Any obstacle it cannot vouch for (a legacy-format
-// snapshot, a causal gap, damage beyond a torn tail) aborts with an
-// error; the caller falls back to materialized recovery.
+// recoverJournal is the one recovery: it brings the store up
+// journal-only from the newest usable snapshot's ID runs and every
+// later WAL block's causal structure — egwalker.InspectBatch for
+// compact payloads, a full (but proportional) decode for legacy ones —
+// without constructing the document. Snapshots that cannot be read
+// are passed over for older ones (the segments they covered replay the
+// difference); a torn tail on the last segment is truncated away. A
+// legacy EGW1 snapshot has no ID columns to scan, so a store recovered
+// from one materializes here. Damage beyond a torn tail, or a causal
+// gap, is an error.
 func (s *DocStore) recoverJournal() error {
 	snaps, segs, err := s.scanDirSeqs()
 	if err != nil {
@@ -398,38 +317,18 @@ func (s *DocStore) recoverJournal() error {
 	}
 	known := newIDSet()
 	s.blockServable = true
-
-	if len(snaps) > 0 {
-		seq := snaps[len(snaps)-1]
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(seq)))
+	legacySnap := false
+	for i := len(snaps) - 1; i >= 0; i-- {
+		k, legacy, err := s.scanSnapshot(snaps[i])
 		if err != nil {
-			return err
+			s.recovery.SkippedSnapshots++
+			continue
 		}
-		if !egwalker.IsCompactBatch(data) {
-			return fmt.Errorf("store: snapshot %s is not a compact frame", snapName(seq))
-		}
-		info, err := egwalker.InspectBatch(data)
-		if err != nil {
-			return fmt.Errorf("store: snapshot %s: %w", snapName(seq), err)
-		}
-		for _, r := range info.Runs {
-			known.addRun(r.Agent, r.Seq, r.Len)
-		}
-		for _, p := range info.ExternalParents {
-			if !known.has(p) {
-				return fmt.Errorf("store: snapshot %s references unknown parent %s/%d", snapName(seq), p.Agent, p.Seq)
-			}
-		}
-		s.numEvents = info.Events
-		s.snapSeq = seq
-		s.recovery.SnapshotSeq = seq
-		if int64(len(data)) > egwalker.MaxDeltaPayload {
-			s.blockServable = false
-		}
+		known, legacySnap = k, legacy
+		break
 	}
 
-	// Scan WAL segments the snapshot does not cover, oldest first,
-	// with the same torn-tail repair policy as materialized recovery.
+	// Scan WAL segments the snapshot does not cover, oldest first.
 	lastRemoved := false
 	prevSeq := uint64(0)
 	for i, seq := range segs {
@@ -483,7 +382,50 @@ func (s *DocStore) recoverJournal() error {
 	if s.sealedSinceSnap < 0 {
 		s.sealedSinceSnap = 0
 	}
+	if legacySnap {
+		return s.materializeLocked()
+	}
 	return nil
+}
+
+// scanSnapshot reads snapshot seq's event IDs into a fresh known set
+// and, on success, adopts it as the store's snapshot. A compact
+// snapshot is inspected, not decoded; an EGW1 one (legacy reports it)
+// has to be loaded whole.
+func (s *DocStore) scanSnapshot(seq uint64) (known *idSet, legacy bool, err error) {
+	data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(seq)))
+	if err != nil {
+		return nil, false, err
+	}
+	known = newIDSet()
+	legacy = !egwalker.IsCompactBatch(data)
+	if legacy {
+		doc, err := egwalker.Load(bytes.NewReader(data), s.agent)
+		if err != nil {
+			return nil, false, err
+		}
+		evs := doc.Events()
+		known.addEvents(evs)
+		s.numEvents = len(evs)
+	} else {
+		info, err := egwalker.InspectBatch(data)
+		if err != nil {
+			return nil, false, err
+		}
+		for _, r := range info.Runs {
+			known.addRun(r.Agent, r.Seq, r.Len)
+		}
+		for _, p := range info.ExternalParents {
+			if !known.has(p) {
+				return nil, false, fmt.Errorf("store: snapshot %s references unknown parent %s/%d", snapName(seq), p.Agent, p.Seq)
+			}
+		}
+		s.numEvents = info.Events
+	}
+	s.snapSeq = seq
+	s.recovery.SnapshotSeq = seq
+	s.blockServable = !legacy && int64(len(data)) <= egwalker.MaxDeltaPayload
+	return known, legacy, nil
 }
 
 // scanBlockPayload folds one WAL block's IDs into known, verifying
@@ -617,21 +559,20 @@ func (s *DocStore) materializeLocked() error {
 	}
 	for seq := s.firstSeg; seq <= s.activeSeq; seq++ {
 		path := filepath.Join(s.dir, segName(seq))
-		res, err := replaySegment(s.fs, path)
+		data, err := s.fs.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("store: materializing %s: %w", s.docID, err)
+		}
+		w, err := applySegment(doc, data)
+		if err != nil {
+			return fmt.Errorf("store: materializing %s: replaying %s: %w", s.docID, path, err)
 		}
 		// A torn tail on the active segment is tolerated only when the
 		// store already refuses writes for it (sticky werr after a
 		// partial append); anything else is damage that appeared while
 		// the store was live.
-		if res.tail != nil && !(seq == s.activeSeq && s.werr != nil && tornTail(res.tail)) {
-			return fmt.Errorf("store: materializing %s: segment %s: %w", s.docID, path, res.tail)
-		}
-		for _, evs := range res.batches {
-			if _, err := doc.Apply(evs); err != nil {
-				return fmt.Errorf("store: materializing %s: replaying %s: %w", s.docID, path, err)
-			}
+		if w.tail != nil && !(seq == s.activeSeq && s.werr != nil && tornTail(w.tail)) {
+			return fmt.Errorf("store: materializing %s: segment %s: %w", s.docID, path, w.tail)
 		}
 	}
 	if p := doc.PendingEvents(); p > 0 {
@@ -1087,12 +1028,20 @@ func (s *DocStore) TakeUnsyncedEvents() int {
 // crash-durable. Callers serving many appends batch their fsyncs by
 // calling Sync on a timer or per client round-trip (see Server).
 func (s *DocStore) Sync() error {
+	_, err := s.syncIfDirty()
+	return err
+}
+
+// syncIfDirty is Sync reporting whether it issued an fsync: false when
+// everything committed was already durable.
+func (s *DocStore) syncIfDirty() (issued bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("store: %s is closed", s.docID)
+		return false, fmt.Errorf("store: %s is closed", s.docID)
 	}
-	return s.syncLocked()
+	issued = s.syncedSize != s.activeSize
+	return issued, s.syncLocked()
 }
 
 func (s *DocStore) syncLocked() error {
